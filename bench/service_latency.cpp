@@ -54,27 +54,41 @@ struct sweep_cell {
     service_result result;
 };
 
+/// An integer flag that must not be negative, so the unsigned cast cannot
+/// wrap (--clients=-1 would otherwise ask for 2^64 - 1 clients).
+std::uint64_t get_count(const kdc::arg_parser& args, const std::string& name) {
+    const std::int64_t value = args.get_int(name);
+    if (value < 0) {
+        throw kdc::cli_error("--" + name + " must be >= 0, got " +
+                             std::to_string(value));
+    }
+    return static_cast<std::uint64_t>(value);
+}
+
+/// The base config from the flags; throws cli_error on any malformed
+/// value (kdc::serve::validate_service_config).
 service_config base_config(const kdc::arg_parser& args) {
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("bins"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
-    base.d = static_cast<std::uint64_t>(args.get_int("d"));
+    base.n = get_count(args, "bins");
+    base.k = get_count(args, "k");
+    base.d = get_count(args, "d");
     const auto merged = kdc::core::scenario_from_cli(args, base);
 
     service_config config;
     config.bins = merged.n;
     config.k = merged.k;
     config.d = merged.d;
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    config.clients = static_cast<std::uint64_t>(args.get_int("clients"));
-    config.requests = static_cast<std::uint64_t>(args.get_int("requests"));
+    config.seed = get_count(args, "seed");
+    config.clients = get_count(args, "clients");
+    config.requests = get_count(args, "requests");
     config.churn = args.get_double("churn");
     config.channel_delay = args.get_positive_double("delay");
     config.batch_window = args.get_positive_double("window");
     config.service_time = args.get_positive_double("service-time");
-    config.max_batch = static_cast<std::uint64_t>(args.get_int("max-batch"));
-    config.shards = static_cast<std::uint64_t>(args.get_int("shards"));
+    config.max_batch = get_count(args, "max-batch");
+    config.shards = get_count(args, "shards");
     config.threads = args.get_threads();
+    kdc::serve::validate_service_config(config);
     return config;
 }
 

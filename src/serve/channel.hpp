@@ -7,9 +7,8 @@
 // can slot in behind the same calls. The in-memory implementation used by
 // the simulation is deterministic by construction: messages come out in
 // exactly the order they went in (one sequence counter, no reordering),
-// which combined with the event queue's FIFO tie-breaking
-// (sim/event_queue.hpp) gives the service its determinism contract
-// (docs/service.md).
+// which combined with the service sending requests in id order gives the
+// service its determinism contract (docs/service.md).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,8 @@ public:
 
 /// The deterministic in-memory channel: an unbounded FIFO with send /
 /// receive counters. "Delivery latency" is not modeled here — the service
-/// schedules the send() call itself at arrival time + channel delay on the
-/// simulator, so one channel class serves both directions.
+/// times the send() call itself at arrival time + channel delay in
+/// simulated time, so one channel class serves both directions.
 template <typename M>
 class memory_channel final : public channel<M> {
 public:

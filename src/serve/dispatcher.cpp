@@ -1,8 +1,6 @@
 #include "serve/dispatcher.hpp"
 
 #include <algorithm>
-#include <span>
-#include <tuple>
 
 #include "core/fault_injection.hpp"
 #include "core/thread_pool.hpp"
@@ -15,61 +13,101 @@ namespace kdc::serve {
 
 namespace {
 
-/// One request's pregenerated tape: probes and their tie keys, drawn in
-/// the FIXED order probes-then-keys per pool (one pool of d for batch
-/// mode, k pools of d for per-task mode). The serial oracle
+/// Appends request `id`'s tape to the slot buffers: probes and their tie
+/// keys, drawn in the FIXED order probes-then-keys per pool (one pool of d
+/// for batch mode, k pools of d for per-task mode). The serial oracle
 /// (serve/service.cpp) draws in the same order from the same
 /// derive_seed(seed, id) stream — the contract that makes its choices
 /// comparable bit for bit.
-struct request_tape {
-    std::vector<std::uint32_t> probes;
-    std::vector<std::uint64_t> keys;
-};
-
-request_tape draw_tape(const dispatcher_config& config, std::uint64_t id) {
+void draw_tape(const dispatcher_config& config, std::uint64_t id,
+               std::vector<std::uint32_t>& bins,
+               std::vector<std::uint64_t>& keys) {
     rng::xoshiro256ss gen(rng::derive_seed(config.seed, id));
     const std::uint64_t pools = config.mode == probing::batch ? 1 : config.k;
-    request_tape tape;
-    tape.probes.resize(pools * config.d);
-    tape.keys.resize(pools * config.d);
+    const auto d = static_cast<std::size_t>(config.d);
     for (std::uint64_t p = 0; p < pools; ++p) {
-        const auto offset = static_cast<std::size_t>(p * config.d);
+        const std::size_t offset = bins.size();
+        bins.resize(offset + d);
         rng::sample_with_replacement(
-            gen, config.bins,
-            std::span<std::uint32_t>(tape.probes.data() + offset,
-                                     config.d));
-        for (std::uint64_t j = 0; j < config.d; ++j) {
-            tape.keys[offset + j] = gen();
+            gen, config.bins, std::span<std::uint32_t>(bins).subspan(offset));
+        for (std::size_t j = 0; j < d; ++j) {
+            keys.push_back(gen());
         }
     }
-    return tape;
 }
 
 } // namespace
 
+void dispatcher::overlay::reset(std::size_t bins) {
+    unsigned bits = 4;
+    while ((std::size_t{1} << bits) < 2 * bins) {
+        ++bits;
+    }
+    cells_.assign(std::size_t{1} << bits, cell{});
+    shift_ = 64 - bits;
+}
+
+std::size_t dispatcher::overlay::find(std::uint32_t bin) const {
+    const std::size_t mask = cells_.size() - 1;
+    auto at = static_cast<std::size_t>(
+        (std::uint64_t{bin} * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (cells_[at].bin != bin && cells_[at].bin != empty) {
+        at = (at + 1) & mask;
+    }
+    return at;
+}
+
+std::int64_t dispatcher::overlay::delta(std::uint32_t bin) const {
+    return cells_[find(bin)].delta; // a free cell holds delta 0
+}
+
+void dispatcher::overlay::add(std::uint32_t bin, std::int64_t delta) {
+    cell& c = cells_[find(bin)];
+    c.bin = bin;
+    c.delta += delta;
+}
+
 dispatcher::dispatcher(const dispatcher_config& config,
                        core::thread_pool* pool)
-    : config_(config), pool_(pool),
-      layout_(config.bins, config.shards) {
+    : config_(config), pool_(pool), layout_(config.bins, config.shards),
+      loads_(config.bins, 0) {
     KD_EXPECTS_MSG(config.bins >= 1 && config.k >= 1 && config.d >= 1,
                    "dispatcher needs bins, k, d >= 1");
     KD_EXPECTS_MSG(config.mode != probing::batch || config.k <= config.d,
                    "batch (k,d)-choice needs k <= d");
-    shards_.reserve(config.shards);
-    for (std::uint64_t s = 0; s < config.shards; ++s) {
-        shards_.emplace_back(layout_, s);
-    }
+    KD_EXPECTS_MSG(config.bins < 0xFFFFFFFFULL,
+                   "bins are 32-bit indices (one value reserved)");
 }
 
-void dispatcher::run_phase(std::size_t count,
-                           const std::function<void(std::size_t)>& body) {
-    if (pool_ != nullptr && count > 1) {
-        pool_->run_phase(count, body);
+template <typename Body>
+void dispatcher::for_each_owned(std::span<const std::uint32_t> bins,
+                                Body&& body) {
+    if (pool_ == nullptr || layout_.shards() == 1) {
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            body(i);
+        }
         return;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        body(i);
+    // Route by owner: (shard << 32 | index) sorted groups each shard's
+    // indices in index order; one pool index per shard present.
+    route_.clear();
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+        route_.push_back((layout_.shard_of(bins[i]) << 32) | i);
     }
+    std::sort(route_.begin(), route_.end());
+    route_runs_.clear();
+    for (std::size_t j = 0; j < route_.size(); ++j) {
+        if (j == 0 || (route_[j] >> 32) != (route_[j - 1] >> 32)) {
+            route_runs_.push_back(j);
+        }
+    }
+    route_runs_.push_back(route_.size());
+    pool_->run_phase(route_runs_.size() - 1, [&](std::size_t run) {
+        for (std::size_t j = route_runs_[run]; j < route_runs_[run + 1];
+             ++j) {
+            body(static_cast<std::size_t>(route_[j] & 0xFFFFFFFFULL));
+        }
+    });
 }
 
 std::vector<request> dispatcher::accept(channel<request>& in,
@@ -85,6 +123,69 @@ std::vector<request> dispatcher::accept(channel<request>& in,
     return batch;
 }
 
+void dispatcher::push_op(std::uint32_t bin, std::int8_t delta) {
+    overlay_.add(bin, delta);
+    op_bin_.push_back(bin);
+    op_delta_.push_back(delta);
+}
+
+void dispatcher::select_allocate(std::size_t base, response& resp) {
+    const auto d = static_cast<std::size_t>(config_.d);
+    const auto k = static_cast<std::size_t>(config_.k);
+    // Effective load = batch-start load + this batch's earlier deltas.
+    const auto effective = [&](std::size_t slot) {
+        return static_cast<std::int64_t>(slot_load_[slot]) +
+               overlay_.delta(slot_bin_[slot]);
+    };
+    resp.bins.reserve(k);
+    if (config_.mode == probing::batch) {
+        // The paper's rule: d candidates with height = effective load
+        // + occurrence index (a bin sampled m times may take up to m
+        // balls), keep the k smallest by (height, key, slot).
+        cands_.resize(d);
+        for (std::size_t j = 0; j < d; ++j) {
+            std::int64_t occ = 0;
+            for (std::size_t e = 0; e < j; ++e) {
+                occ += slot_bin_[base + e] == slot_bin_[base + j] ? 1 : 0;
+            }
+            cands_[j] = {effective(base + j) + occ, slot_key_[base + j],
+                         static_cast<std::uint32_t>(j)};
+        }
+        std::partial_sort(cands_.begin(),
+                          cands_.begin() + static_cast<std::ptrdiff_t>(k),
+                          cands_.end());
+        for (std::size_t j = 0; j < k; ++j) {
+            resp.bins.push_back(slot_bin_[base + std::get<2>(cands_[j])]);
+        }
+        for (const std::uint32_t bin : resp.bins) {
+            push_op(bin, 1);
+        }
+        resp.probe_messages = config_.d;
+        return;
+    }
+    // Per-task baseline: each of the k tasks spends its own d probes and
+    // takes its least-loaded, seeing earlier tasks' placements through the
+    // overlay (Sparrow-style late binding).
+    for (std::size_t t = 0; t < k; ++t) {
+        const std::size_t pool = base + t * d;
+        std::size_t best = 0;
+        auto best_key = std::tuple<std::int64_t, std::uint64_t,
+                                   std::size_t>{};
+        for (std::size_t j = 0; j < d; ++j) {
+            const auto key =
+                std::tuple{effective(pool + j), slot_key_[pool + j], j};
+            if (j == 0 || key < best_key) {
+                best_key = key;
+                best = j;
+            }
+        }
+        const std::uint32_t bin = slot_bin_[pool + best];
+        resp.bins.push_back(bin);
+        push_op(bin, 1);
+    }
+    resp.probe_messages = config_.k * config_.d;
+}
+
 std::vector<response>
 dispatcher::process(const std::vector<request>& batch) {
     std::vector<response> responses;
@@ -97,56 +198,36 @@ dispatcher::process(const std::vector<request>& batch) {
     }
     core::fault_point(core::fault_site::serve_batch);
 
-    // -- pregen (parallel over requests): releases carry no tape.
-    std::vector<request_tape> tapes(batch.size());
-    run_phase(batch.size(), [&](std::size_t i) {
-        if (batch[i].kind == request_kind::allocate) {
-            tapes[i] = draw_tape(config_, batch[i].id);
+    // -- pregen (serial, id order): releases carry no tape.
+    slot_bin_.clear();
+    slot_key_.clear();
+    for (const request& req : batch) {
+        if (req.kind == request_kind::allocate) {
+            draw_tape(config_, req.id, slot_bin_, slot_key_);
         }
+    }
+
+    // -- gather: batch-start load of every probed bin, read by its owner.
+    slot_load_.resize(slot_bin_.size());
+    for_each_owned(slot_bin_, [&](std::size_t slot) {
+        slot_load_[slot] = loads_[slot_bin_[slot]];
     });
 
-    // -- gather (parallel over shards): batch-start load of every probed
-    // bin, read only from the owner's stripe. The slot table is indexed by
-    // (request, probe) flattened in batch order.
-    std::vector<std::size_t> slot_offset(batch.size() + 1, 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        slot_offset[i + 1] = slot_offset[i] + tapes[i].probes.size();
-    }
-    std::vector<std::uint32_t> slot_bin(slot_offset.back());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        std::copy(tapes[i].probes.begin(), tapes[i].probes.end(),
-                  slot_bin.begin() +
-                      static_cast<std::ptrdiff_t>(slot_offset[i]));
-    }
-    std::vector<core::bin_load> slot_load(slot_bin.size(), 0);
-    run_phase(shards_.size(), [&](std::size_t s) {
-        const bin_shard& shard = shards_[s];
-        for (std::size_t slot = 0; slot < slot_bin.size(); ++slot) {
-            const std::uint32_t bin = slot_bin[slot];
-            if (bin >= shard.begin() && bin < shard.end()) {
-                slot_load[slot] = shard.load(bin);
-            }
-        }
-    });
-
-    // -- select (serial, id order). `overlay` is the net delta committed
-    // by earlier requests of THIS batch; effective load = gathered +
-    // overlay is the live load a serial server would see. `ops` records
-    // every (bin, delta) in id order for the commit phase.
-    std::unordered_map<std::uint32_t, std::int64_t> overlay;
-    std::vector<std::pair<std::uint32_t, std::int8_t>> ops;
-    responses.reserve(batch.size());
-    const auto effective = [&](std::size_t slot) -> std::int64_t {
-        auto load = static_cast<std::int64_t>(slot_load[slot]);
-        if (const auto it = overlay.find(slot_bin[slot]);
-            it != overlay.end()) {
-            load += it->second;
-        }
-        return load;
-    };
+    // -- select (serial, id order). The overlay holds the net delta
+    // committed by earlier requests of THIS batch; the ops record every
+    // (bin, delta) in id order for the commit phase. A request moves at
+    // most k bins, so the overlay never holds more than k * batch bins.
+    overlay_.reset(static_cast<std::size_t>(config_.k) * batch.size());
+    op_bin_.clear();
+    op_delta_.clear();
+    responses.resize(batch.size());
+    const std::size_t tape =
+        static_cast<std::size_t>(config_.d) *
+        (config_.mode == probing::batch ? 1 : config_.k);
+    std::size_t base = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const request& req = batch[i];
-        response resp;
+        response& resp = responses[i];
         resp.client = req.client;
         resp.id = req.id;
         if (req.kind == request_kind::release) {
@@ -156,117 +237,30 @@ dispatcher::process(const std::vector<request>& batch) {
             resp.bins = std::move(it->second);
             live_.erase(it);
             for (const std::uint32_t bin : resp.bins) {
-                overlay[bin] -= 1;
-                ops.emplace_back(bin, std::int8_t{-1});
+                push_op(bin, -1);
             }
-            responses.push_back(std::move(resp));
+            balls_held_ -= resp.bins.size();
             continue;
         }
-        const std::size_t base = slot_offset[i];
-        const request_tape& tape = tapes[i];
-        if (config_.mode == probing::batch) {
-            // The paper's rule: d candidates with height = effective load
-            // + occurrence index (a bin sampled m times may take up to m
-            // balls), keep the k smallest by (height, key, slot).
-            std::vector<std::tuple<std::int64_t, std::uint64_t,
-                                   std::uint32_t>>
-                cands(config_.d);
-            for (std::uint64_t j = 0; j < config_.d; ++j) {
-                std::int64_t occ = 0;
-                for (std::uint64_t e = 0; e < j; ++e) {
-                    occ += tape.probes[e] == tape.probes[j] ? 1 : 0;
-                }
-                cands[j] = {effective(base + j) + occ, tape.keys[j],
-                            static_cast<std::uint32_t>(j)};
-            }
-            std::sort(cands.begin(), cands.end());
-            for (std::uint64_t j = 0; j < config_.k; ++j) {
-                resp.bins.push_back(tape.probes[std::get<2>(cands[j])]);
-            }
-            resp.probe_messages = config_.d;
-        } else {
-            // Per-task baseline: each of the k tasks spends its own d
-            // probes and takes its least-loaded, seeing earlier tasks'
-            // placements through the overlay (Sparrow-style late binding).
-            for (std::uint64_t t = 0; t < config_.k; ++t) {
-                const std::size_t pool_base =
-                    base + static_cast<std::size_t>(t * config_.d);
-                std::size_t best = 0;
-                auto best_key = std::tuple<std::int64_t, std::uint64_t,
-                                           std::uint64_t>{};
-                for (std::uint64_t j = 0; j < config_.d; ++j) {
-                    const auto key = std::tuple{
-                        effective(pool_base + j),
-                        tape.keys[static_cast<std::size_t>(t * config_.d) +
-                                  j],
-                        j};
-                    if (j == 0 || key < best_key) {
-                        best_key = key;
-                        best = j;
-                    }
-                }
-                const std::uint32_t bin = tape.probes
-                    [static_cast<std::size_t>(t * config_.d) + best];
-                resp.bins.push_back(bin);
-                overlay[bin] += 1;
-                ops.emplace_back(bin, std::int8_t{1});
-            }
-            resp.probe_messages = config_.k * config_.d;
-        }
-        if (config_.mode == probing::batch) {
-            for (const std::uint32_t bin : resp.bins) {
-                overlay[bin] += 1;
-                ops.emplace_back(bin, std::int8_t{1});
-            }
-        }
+        select_allocate(base, resp);
+        base += tape;
         probe_messages_ += resp.probe_messages;
+        balls_held_ += resp.bins.size();
         live_.emplace(req.id, resp.bins);
-        responses.push_back(std::move(resp));
     }
 
-    // -- commit (parallel over shards): each shard applies its own bins'
-    // deltas in id order, to its loads and its level_profile mirror.
+    // -- commit: each shard applies its own bins' deltas in id order.
     core::fault_point(core::fault_site::serve_commit);
-    run_phase(shards_.size(), [&](std::size_t s) {
-        bin_shard& shard = shards_[s];
-        for (const auto& [bin, delta] : ops) {
-            if (bin < shard.begin() || bin >= shard.end()) {
-                continue;
-            }
-            if (delta > 0) {
-                shard.commit_alloc(bin);
-            } else {
-                shard.commit_release(bin);
-            }
+    for_each_owned(op_bin_, [&](std::size_t op) {
+        core::bin_load& load = loads_[op_bin_[op]];
+        if (op_delta_[op] > 0) {
+            load += 1;
+        } else {
+            KD_EXPECTS_MSG(load > 0, "release of an empty bin");
+            load -= 1;
         }
     });
     return responses;
-}
-
-core::load_vector dispatcher::loads() const {
-    core::load_vector all;
-    all.reserve(config_.bins);
-    for (const bin_shard& shard : shards_) {
-        all.insert(all.end(), shard.loads().begin(), shard.loads().end());
-    }
-    return all;
-}
-
-core::level_profile dispatcher::occupancy() const {
-    std::vector<core::level_profile> mirrors;
-    mirrors.reserve(shards_.size());
-    for (const bin_shard& shard : shards_) {
-        mirrors.push_back(shard.occupancy());
-    }
-    return core::merge_profiles(mirrors);
-}
-
-std::uint64_t dispatcher::balls_held() const noexcept {
-    std::uint64_t total = 0;
-    for (const bin_shard& shard : shards_) {
-        total += shard.balls_held();
-    }
-    return total;
 }
 
 } // namespace kdc::serve

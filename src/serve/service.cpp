@@ -1,7 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <charconv>
+#include <cmath>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -17,6 +18,7 @@
 #include "serve/dispatcher.hpp"
 #include "serve/session.hpp"
 #include "stats/summary.hpp"
+#include "support/cli.hpp"
 #include "support/contracts.hpp"
 
 namespace kdc::serve {
@@ -34,9 +36,6 @@ struct request_sequence {
 };
 
 request_sequence build_sequence(const service_config& config) {
-    KD_EXPECTS_MSG(config.clients >= 1 && config.requests >= 1,
-                   "service needs clients >= 1 and requests >= 1");
-    KD_EXPECTS(config.arrival_rate > 0.0);
     std::vector<client_arrival> merged;
     merged.reserve(config.requests);
     const std::uint64_t base = config.requests / config.clients;
@@ -90,11 +89,16 @@ request_sequence build_sequence(const service_config& config) {
 
 void append_log_line(std::string& log, const response& resp,
                      request_kind kind) {
-    log += std::to_string(resp.id);
+    char digits[24];
+    const auto put = [&](std::uint64_t value) {
+        log.append(digits,
+                   std::to_chars(digits, digits + sizeof digits, value).ptr);
+    };
+    put(resp.id);
     log += kind == request_kind::release ? " r" : " a";
     for (const std::uint32_t bin : resp.bins) {
         log += ' ';
-        log += std::to_string(bin);
+        put(bin);
     }
     log += '\n';
 }
@@ -129,7 +133,36 @@ void fill_message_rates(service_result& result, std::uint64_t k) {
 
 } // namespace
 
+void validate_service_config(const service_config& config) {
+    const auto require = [](bool ok, const std::string& what) {
+        if (!ok) {
+            throw cli_error("service config: " + what);
+        }
+    };
+    const auto positive = [&](double value, const char* name) {
+        require(value > 0.0 && std::isfinite(value),
+                std::string(name) + " must be a positive finite number, got " +
+                    std::to_string(value));
+    };
+    require(config.bins >= 1 && config.k >= 1 && config.d >= 1,
+            "bins, k and d must be >= 1");
+    require(config.bins < 0xFFFFFFFFULL,
+            "bins must be below 2^32 - 1 (32-bit bin ids)");
+    require(config.mode != probing::batch || config.k <= config.d,
+            "batch (k,d)-choice needs k <= d");
+    require(config.clients >= 1, "clients must be >= 1");
+    require(config.requests >= 1, "requests must be >= 1");
+    require(config.max_batch >= 1, "max_batch must be >= 1");
+    require(config.churn >= 0.0 && config.churn <= 1.0,
+            "churn must be in [0, 1], got " + std::to_string(config.churn));
+    positive(config.arrival_rate, "arrival_rate");
+    positive(config.channel_delay, "channel_delay");
+    positive(config.batch_window, "batch_window");
+    positive(config.service_time, "service_time");
+}
+
 service_result run_service(const service_config& config) {
+    validate_service_config(config);
     const request_sequence seq = build_sequence(config);
 
     dispatcher_config dc;
@@ -141,78 +174,63 @@ service_result run_service(const service_config& config) {
     dc.shards = core::resolve_shard_count(config.bins, config.shards);
     const unsigned threads = core::resolve_thread_count(config.threads);
     core::thread_pool* pool =
-        threads > 1 ? &core::persistent_pool(threads) : nullptr;
+        threads > 1 && dc.shards > 1 ? &core::persistent_pool(threads)
+                                     : nullptr;
     dispatcher dispatcher(dc, pool);
 
-    sim::simulator sim;
     memory_channel<request> inbox;
-    std::vector<session> sessions(config.clients);
     service_result result;
     std::vector<double> allocate_latencies;
     allocate_latencies.reserve(seq.requests.size());
 
-    // Dispatcher-side scheduling state. One dispatch event is in flight at
-    // a time; it fires batch_window after the first pending request, but
-    // never while the dispatcher is still busy with the previous batch.
+    // The timing model as a two-source event loop. Request `next` reaches
+    // the inbox at at[next] + channel_delay, in id order. At most one
+    // dispatch is pending: it is set when a request waits in an idle
+    // inbox, at batch_window after that moment but never before the
+    // dispatcher is free again. At equal times the arrival goes first.
+    // A batch's responses all leave when its service ends, so each one's
+    // delivery time is known when the batch is dispatched.
+    std::size_t next = 0;
     bool dispatch_pending = false;
+    sim::sim_time dispatch_at = 0.0;
     sim::sim_time busy_until = 0.0;
-    std::function<void()> maybe_dispatch; // forward-declared for recursion
-    const auto do_dispatch = [&] {
+    const auto maybe_dispatch = [&](sim::sim_time now) {
+        if (!dispatch_pending && inbox.pending() > 0) {
+            dispatch_pending = true;
+            dispatch_at = std::max(now + config.batch_window, busy_until);
+        }
+    };
+    while (next < seq.requests.size() || dispatch_pending) {
+        if (next < seq.requests.size() &&
+            (!dispatch_pending ||
+             seq.at[next] + config.channel_delay <= dispatch_at)) {
+            inbox.send(seq.requests[next]);
+            maybe_dispatch(seq.at[next] + config.channel_delay);
+            ++next;
+            continue;
+        }
         dispatch_pending = false;
         const std::vector<request> batch =
             dispatcher.accept(inbox, config.max_batch);
-        if (batch.empty()) {
-            return;
-        }
         const std::vector<response> responses = dispatcher.process(batch);
-        busy_until = sim.now() + config.service_time *
-                                     static_cast<double>(batch.size());
+        busy_until = dispatch_at + config.service_time *
+                                       static_cast<double>(batch.size());
+        const sim::sim_time delivered = busy_until + config.channel_delay;
         result.batches += 1;
         for (std::size_t i = 0; i < responses.size(); ++i) {
-            const request& req = batch[i];
-            append_log_line(result.allocation_log, responses[i], req.kind);
-            if (req.kind == request_kind::allocate) {
+            append_log_line(result.allocation_log, responses[i],
+                            batch[i].kind);
+            if (batch[i].kind == request_kind::allocate) {
                 result.allocations += 1;
+                allocate_latencies.push_back(delivered -
+                                             seq.at[responses[i].id]);
             } else {
                 result.releases += 1;
             }
-            const sim::sim_time delivered =
-                busy_until + config.channel_delay;
-            sim.schedule_at(
-                delivered, [&, resp = responses[i], kind = req.kind,
-                            arrived = seq.at[responses[i].id]] {
-                    sessions[resp.client].on_response(resp, sim.now());
-                    if (kind == request_kind::allocate) {
-                        allocate_latencies.push_back(sim.now() - arrived);
-                    }
-                    result.completed_at =
-                        std::max(result.completed_at, sim.now());
-                });
         }
-        maybe_dispatch();
-    };
-    maybe_dispatch = [&] {
-        if (dispatch_pending || inbox.pending() == 0) {
-            return;
-        }
-        dispatch_pending = true;
-        const sim::sim_time when =
-            std::max(sim.now() + config.batch_window, busy_until);
-        sim.schedule_at(when, do_dispatch);
-    };
-
-    // One delivery event per request, scheduled upfront in id order: the
-    // event queue's FIFO tie-breaking then guarantees the inbox receives
-    // ids in increasing order even when arrival times collide.
-    for (std::size_t id = 0; id < seq.requests.size(); ++id) {
-        sessions[seq.requests[id].client].on_send(id, seq.at[id]);
-        sim.schedule_at(seq.at[id] + config.channel_delay,
-                        [&, id] {
-                            inbox.send(seq.requests[id]);
-                            maybe_dispatch();
-                        });
+        result.completed_at = std::max(result.completed_at, delivered);
+        maybe_dispatch(dispatch_at);
     }
-    sim.run();
 
     KD_ENSURES_MSG(inbox.pending() == 0, "service drained its inbox");
     result.probe_messages = dispatcher.probe_messages();
@@ -227,9 +245,8 @@ service_result run_service(const service_config& config) {
 }
 
 service_result run_serial_oracle(const service_config& config) {
+    validate_service_config(config);
     const request_sequence seq = build_sequence(config);
-    KD_EXPECTS_MSG(config.mode != probing::batch || config.k <= config.d,
-                   "batch (k,d)-choice needs k <= d");
 
     // Independent straight-line server: plain per-bin loads, one request
     // at a time in id order, drawing each tape exactly per the contract

@@ -1,6 +1,6 @@
-// The allocation service: sessions, channels and the dispatcher wired onto
-// the discrete-event simulator — plus the serial oracle the whole serve
-// layer is checked against.
+// The allocation service: open-loop client schedules, a channel and the
+// dispatcher driven through a simulated-time event loop — plus the serial
+// oracle the whole serve layer is checked against.
 //
 // run_service drives an open-loop Poisson workload (serve/session.hpp)
 // through a memory_channel into the dispatcher and measures what the paper
@@ -60,7 +60,7 @@ struct service_result {
     /// (releases cost no probes) — the paper's message-cost axis.
     double messages_per_request = 0.0;
     double messages_per_ball = 0.0;  ///< messages_per_request / k
-    double latency_mean = 0.0;       ///< allocate+release, simulated time
+    double latency_mean = 0.0;       ///< over allocates, simulated time
     double latency_p50 = 0.0;
     double latency_p99 = 0.0;
     double latency_p999 = 0.0;
@@ -75,13 +75,20 @@ struct service_result {
     core::load_vector final_loads;
 };
 
-/// Runs the full event-driven service. Latency fields are 0 when the
-/// config yields no requests (requires requests >= 1, clients >= 1).
+/// Throws cli_error naming the first field that makes `config`
+/// unservable: bins, k and d >= 1 (k <= d in batch mode), clients,
+/// requests and max_batch >= 1, churn in [0, 1], and positive finite
+/// arrival_rate, channel_delay, batch_window and service_time. Shards and
+/// threads need no check: 0 means auto, and both are clamped.
+void validate_service_config(const service_config& config);
+
+/// Runs the full event-driven service (validate_service_config first).
+/// Latency fields are 0 when no allocate was served.
 [[nodiscard]] service_result run_service(const service_config& config);
 
-/// The oracle: same request sequence, served one request at a time at zero
-/// latency by an independent serial implementation. Latency/batch fields
-/// are not meaningful (batches == requests, latencies 0); everything
+/// The oracle (validate_service_config first): same request sequence,
+/// served one request at a time at zero latency by an independent serial
+/// implementation. Latency/batch fields are not meaningful (batches == requests, latencies 0); everything
 /// else — allocation_log above all — must match run_service exactly.
 [[nodiscard]] service_result run_serial_oracle(const service_config& config);
 

@@ -1,5 +1,4 @@
-// Client sessions of the allocation service: open-loop arrival generation
-// and per-client response aggregation.
+// Client sessions of the allocation service: open-loop arrival generation.
 //
 // Arrivals are OPEN-LOOP Poisson: each client draws its whole arrival
 // schedule (times, allocate/release decisions, release targets) from its
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rng/splitmix64.hpp"
@@ -88,41 +86,5 @@ draw_arrivals(const session_config& config) {
     }
     return schedule;
 }
-
-/// The aggregation half: records when each request left the client and
-/// turns the matching response into a latency sample. One session per
-/// client; the service owns the map from response.client to session.
-class session {
-public:
-    /// Records that request `id` left the client at `at`.
-    void on_send(std::uint64_t id, sim::sim_time at) {
-        const bool inserted = sent_.emplace(id, at).second;
-        KD_EXPECTS_MSG(inserted, "duplicate request id sent");
-    }
-
-    /// Consumes the response to a previously sent request, recording
-    /// `at - send time` as the request's latency.
-    void on_response(const response& resp, sim::sim_time at) {
-        const auto it = sent_.find(resp.id);
-        KD_EXPECTS_MSG(it != sent_.end(),
-                       "response to a request this session never sent");
-        latencies_.push_back(at - it->second);
-        sent_.erase(it);
-    }
-
-    /// Latency samples in response-arrival order.
-    [[nodiscard]] const std::vector<double>& latencies() const noexcept {
-        return latencies_;
-    }
-
-    /// Requests sent but not yet answered.
-    [[nodiscard]] std::size_t in_flight() const noexcept {
-        return sent_.size();
-    }
-
-private:
-    std::unordered_map<std::uint64_t, sim::sim_time> sent_;
-    std::vector<double> latencies_;
-};
 
 } // namespace kdc::serve

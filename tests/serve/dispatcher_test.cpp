@@ -1,6 +1,7 @@
-// Dispatcher invariants that hold batch by batch: shard-count invariance,
-// the level_profile mirror, release bookkeeping, message accounting, and
-// the id-order precondition.
+// Dispatcher invariants that hold batch by batch: shard-count invariance
+// (owner-routed gather and commit, pooled and inline), the balls-held
+// counter against the load vector, release bookkeeping, message
+// accounting, and the id-order precondition.
 #include "serve/dispatcher.hpp"
 
 #include <gtest/gtest.h>
@@ -49,24 +50,60 @@ TEST(Dispatcher, AllocateReturnsKBinsInRange) {
     EXPECT_EQ(dispatch.live_allocations(), 10u);
 }
 
+/// Six batches of nine allocates, then one batch that releases 27 of
+/// them between fresh allocates, then two more allocate batches: every
+/// batch shape gather and commit route — allocate-only and release-heavy.
+std::vector<std::vector<request>> mixed_batches() {
+    std::vector<std::vector<request>> batches;
+    for (std::uint64_t b = 0; b < 6; ++b) {
+        batches.push_back(allocates(9, b * 9));
+    }
+    std::vector<request> churn;
+    std::uint64_t id = 54;
+    for (std::uint64_t target = 0; target < 54; target += 2) {
+        request release;
+        release.kind = request_kind::release;
+        release.id = id++;
+        release.target = target;
+        churn.push_back(release);
+        if (target % 6 == 0) {
+            churn.push_back(allocates(1, id++).front());
+        }
+    }
+    batches.push_back(std::move(churn));
+    batches.push_back(allocates(9, id));
+    batches.push_back(allocates(9, id + 9));
+    return batches;
+}
+
 TEST(Dispatcher, ShardCountNeverChangesTheOutcome) {
+    // shards == bins puts every bin in its own shard; the pool runs the
+    // owner-routed gather and commit as phases whenever shards > 1.
+    core::thread_pool pool(4);
     std::vector<std::vector<response>> per_shards;
     std::vector<core::load_vector> loads;
-    for (const std::uint64_t shards : {1u, 3u, 8u}) {
-        dispatcher_config config;
-        config.bins = 40;
-        config.k = 2;
-        config.d = 5;
-        config.seed = 7;
-        config.shards = shards;
-        dispatcher dispatch(config, nullptr);
-        std::vector<response> all;
-        for (std::uint64_t b = 0; b < 6; ++b) {
-            auto responses = dispatch.process(allocates(9, b * 9));
-            all.insert(all.end(), responses.begin(), responses.end());
+    for (const std::uint64_t shards : {1u, 3u, 8u, 40u}) {
+        for (core::thread_pool* phases : {static_cast<core::thread_pool*>(
+                                               nullptr),
+                                          &pool}) {
+            dispatcher_config config;
+            config.bins = 40;
+            config.k = 2;
+            config.d = 5;
+            config.seed = 7;
+            config.shards = shards;
+            dispatcher dispatch(config, phases);
+            std::vector<response> all;
+            for (const auto& batch : mixed_batches()) {
+                auto responses = dispatch.process(batch);
+                all.insert(all.end(), responses.begin(), responses.end());
+            }
+            EXPECT_EQ(dispatch.balls_held(),
+                      core::level_profile::from_loads(dispatch.loads())
+                          .total_balls());
+            per_shards.push_back(std::move(all));
+            loads.push_back(dispatch.loads());
         }
-        per_shards.push_back(std::move(all));
-        loads.push_back(dispatch.loads());
     }
     for (std::size_t i = 1; i < per_shards.size(); ++i) {
         ASSERT_EQ(per_shards[i].size(), per_shards[0].size());
@@ -101,7 +138,7 @@ TEST(Dispatcher, BatchingNeverChangesTheOutcome) {
     EXPECT_EQ(one_by_one.loads(), all_at_once.loads());
 }
 
-TEST(Dispatcher, OccupancyMirrorsTheLoadVector) {
+TEST(Dispatcher, BallsHeldMatchesTheLoadProfile) {
     dispatcher_config config;
     config.bins = 50;
     config.k = 4;
@@ -110,8 +147,22 @@ TEST(Dispatcher, OccupancyMirrorsTheLoadVector) {
     config.shards = 7;
     dispatcher dispatch(config, nullptr);
     (void)dispatch.process(allocates(20, 0));
-    EXPECT_EQ(dispatch.occupancy(),
-              core::level_profile::from_loads(dispatch.loads()));
+    EXPECT_EQ(dispatch.balls_held(), 80u);
+    EXPECT_EQ(core::level_profile::from_loads(dispatch.loads()).total_balls(),
+              dispatch.balls_held());
+
+    std::vector<request> releases;
+    for (std::uint64_t target = 0; target < 20; target += 4) {
+        request release;
+        release.kind = request_kind::release;
+        release.id = 20 + target;
+        release.target = target;
+        releases.push_back(release);
+    }
+    (void)dispatch.process(releases);
+    EXPECT_EQ(dispatch.balls_held(), 60u);
+    EXPECT_EQ(core::level_profile::from_loads(dispatch.loads()).total_balls(),
+              dispatch.balls_held());
 }
 
 TEST(Dispatcher, ReleaseUndoesItsAllocate) {
@@ -217,7 +268,7 @@ TEST(Dispatcher, PoolBackedPhasesMatchSerial) {
         }
     }
     EXPECT_EQ(serial.loads(), parallel.loads());
-    EXPECT_EQ(serial.occupancy(), parallel.occupancy());
+    EXPECT_EQ(serial.balls_held(), parallel.balls_held());
 }
 
 } // namespace

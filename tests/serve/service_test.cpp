@@ -2,13 +2,19 @@
 // log is byte-identical to the serial oracle's at every thread count and
 // shard count, with and without churn, in both probing modes — and the
 // measured message cost lands exactly on the closed form the scheduler
-// model predicts (d per request batched, k*d per-task).
+// model predicts (d per request batched, k*d per-task). The timing model's
+// outputs are pinned to exact values, and malformed configs are rejected
+// with a cli_error naming the field.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "support/cli.hpp"
 
 namespace kdc::serve {
 namespace {
@@ -160,6 +166,108 @@ TEST(Service, LogHasOneLinePerRequestInIdOrder) {
         EXPECT_EQ(lines[i].substr(0, lines[i].find(' ')),
                   std::to_string(i));
     }
+}
+
+TEST(Service, TimingModelOutputsArePinned) {
+    // A loaded churn config: 18 arrivals per time unit against 20 per unit
+    // of service, batches capped at 8, so the dispatcher queues and every
+    // batch drains max_batch requests. Values are exact (hex floats): any
+    // change to when a batch is dispatched or a response is delivered
+    // moves them. The timing model does not depend on the probing mode.
+    for (const probing mode : {probing::batch, probing::per_task}) {
+        service_config config = base_config();
+        config.mode = mode;
+        config.churn = 0.35;
+        config.requests = 120;
+        config.arrival_rate = 18.0;
+        config.max_batch = 8;
+        const service_result result = run_service(config);
+        EXPECT_EQ(result.latency_mean, 0x1.a459ccfc7d074p+2);
+        EXPECT_EQ(result.latency_p50, 0x1.a59ff0167f55bp+2);
+        EXPECT_EQ(result.latency_p99, 0x1.64a09ed6d32cdp+3);
+        EXPECT_EQ(result.latency_p999, 0x1.64a09ed6d32cdp+3);
+        EXPECT_EQ(result.latency_max, 0x1.64a09ed6d32cdp+3);
+        EXPECT_EQ(result.completed_at, 0x1.06a297ee87b8p+4);
+        EXPECT_EQ(result.batches, 15u);
+        EXPECT_EQ(result.releases, 36u);
+    }
+}
+
+/// Expects validate_service_config, run_service and run_serial_oracle to
+/// reject the config edited by `edit` with a cli_error containing `what`.
+void expect_rejected(const std::function<void(service_config&)>& edit,
+                     const std::string& what) {
+    service_config config = base_config();
+    edit(config);
+    try {
+        validate_service_config(config);
+        ADD_FAILURE() << "accepted a config that should fail: " << what;
+    } catch (const cli_error& error) {
+        EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW((void)run_service(config), cli_error);
+    EXPECT_THROW((void)run_serial_oracle(config), cli_error);
+}
+
+TEST(ServiceConfig, AcceptsTheBaseConfig) {
+    EXPECT_NO_THROW(validate_service_config(base_config()));
+}
+
+TEST(ServiceConfig, RejectsZeroBinsKOrD) {
+    expect_rejected([](service_config& c) { c.bins = 0; },
+                    "bins, k and d must be >= 1");
+    expect_rejected([](service_config& c) { c.k = 0; },
+                    "bins, k and d must be >= 1");
+    expect_rejected([](service_config& c) { c.d = 0; },
+                    "bins, k and d must be >= 1");
+}
+
+TEST(ServiceConfig, RejectsBinsBeyond32BitIds) {
+    expect_rejected([](service_config& c) { c.bins = 0xFFFFFFFFULL; },
+                    "bins must be below 2^32 - 1");
+}
+
+TEST(ServiceConfig, RejectsBatchModeWithKAboveD) {
+    expect_rejected([](service_config& c) { c.k = 5; },
+                    "batch (k,d)-choice needs k <= d");
+}
+
+TEST(ServiceConfig, RejectsZeroClients) {
+    expect_rejected([](service_config& c) { c.clients = 0; },
+                    "clients must be >= 1");
+}
+
+TEST(ServiceConfig, RejectsZeroRequests) {
+    expect_rejected([](service_config& c) { c.requests = 0; },
+                    "requests must be >= 1");
+}
+
+TEST(ServiceConfig, RejectsZeroMaxBatch) {
+    expect_rejected([](service_config& c) { c.max_batch = 0; },
+                    "max_batch must be >= 1");
+}
+
+TEST(ServiceConfig, RejectsChurnOutsideTheUnitInterval) {
+    expect_rejected([](service_config& c) { c.churn = 1.5; },
+                    "churn must be in [0, 1]");
+    expect_rejected([](service_config& c) { c.churn = -0.1; },
+                    "churn must be in [0, 1]");
+}
+
+TEST(ServiceConfig, RejectsNonPositiveRatesAndTimes) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    expect_rejected([](service_config& c) { c.arrival_rate = 0.0; },
+                    "arrival_rate must be a positive finite number");
+    expect_rejected([&](service_config& c) { c.arrival_rate = inf; },
+                    "arrival_rate must be a positive finite number");
+    expect_rejected([](service_config& c) { c.channel_delay = -0.5; },
+                    "channel_delay must be a positive finite number");
+    expect_rejected([&](service_config& c) { c.batch_window = nan; },
+                    "batch_window must be a positive finite number");
+    expect_rejected([](service_config& c) { c.service_time = 0.0; },
+                    "service_time must be a positive finite number");
 }
 
 } // namespace
