@@ -29,7 +29,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("reps", "10", "repetitions per configuration");
@@ -171,4 +173,10 @@ int main(int argc, char** argv) {
         csv_emitter.write_csv(std::cout, all);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -24,7 +24,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("reps", "10", "repetitions per scheme");
@@ -125,4 +127,10 @@ int main(int argc, char** argv) {
                  "the per-ball baselines; (k,2k)/(k,3k) with k >> 1 reach "
                  "constant max load.\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -68,9 +68,7 @@ std::vector<std::uint64_t> nu_from_sorted(const std::vector<double>& sorted) {
     return nu;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("k", "4", "balls per round");
@@ -227,4 +225,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, rows);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -45,9 +45,7 @@ struct rep_profile {
     double messages = 0.0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("k", "64", "balls per round");
@@ -193,4 +191,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, rows);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -47,9 +47,7 @@ double mean_of(const std::vector<double>& xs) {
     return sum / static_cast<double>(xs.size());
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins and balls");
     args.add_option("reps", "30", "repetitions per process");
@@ -186,4 +184,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, rows);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

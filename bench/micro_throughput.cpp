@@ -65,7 +65,6 @@
 #include <vector>
 
 #include "core/kdchoice.hpp"
-#include "core/parallel_runner.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -545,8 +544,10 @@ int scenario_main(int argc, char** argv) {
     const auto validate_reps =
         static_cast<std::uint32_t>(args.get_int("validate-warmup"));
 
+    const auto route = kdc::core::resolve_route(sc);
+
     if (validate_reps > 0) {
-        if (sc.warmup != kdc::core::warmup_mode::fast_forward) {
+        if (!route.fast_forward) {
             throw kdc::cli_error("--validate-warmup compares warmup=ff "
                                  "against warmup=full; add warmup=ff to the "
                                  "scenario");
@@ -578,7 +579,6 @@ int scenario_main(int argc, char** argv) {
         return 0;
     }
     const std::uint64_t balls = factor * kdc::core::resolved_balls(sc);
-    const auto kernel = kdc::core::resolve_kernel(sc);
 
     // par=round scenarios run their sharded phases on this pool; every
     // other scenario ignores it. Timing only — never the numbers.
@@ -605,7 +605,7 @@ int scenario_main(int argc, char** argv) {
                             ? static_cast<double>(balls) / best_seconds
                             : 0.0;
     std::cout << "scenario " << kdc::core::to_string(sc) << "\n"
-              << "kernel " << kdc::core::kernel_name(kernel) << ", "
+              << "kernel " << kdc::core::kernel_name(route.kernel) << ", "
               << balls << " balls: "
               << static_cast<std::uint64_t>(rate) << " balls/s (best of "
               << std::max<std::uint64_t>(1, repeat) << ", max load "
@@ -802,7 +802,7 @@ void bm_d_choice_level_fast_path(benchmark::State& state) {
 }
 BENCHMARK(bm_d_choice_level_fast_path)->Arg(2)->Arg(4)->Arg(8);
 
-/// Serial repetition sweep baseline for the parallel-runner comparison:
+/// Serial repetition sweep baseline for the one-cell parallel sweep below:
 /// a Table-1-style cell, 10 reps of (8,16)-choice at n = 2^15.
 void bm_experiment_serial(benchmark::State& state) {
     constexpr std::uint64_t n = 1 << 15;
@@ -816,16 +816,23 @@ void bm_experiment_serial(benchmark::State& state) {
 }
 BENCHMARK(bm_experiment_serial)->Unit(benchmark::kMillisecond);
 
-/// The same sweep fanned out over a thread pool. Aggregates are bit-identical
-/// to the serial baseline; only wall-clock time may differ.
+/// The same cell as a one-cell run_sweep on the persistent pool. Aggregates
+/// are bit-identical to the serial baseline; only wall-clock time may
+/// differ.
 void bm_experiment_parallel(benchmark::State& state) {
     constexpr std::uint64_t n = 1 << 15;
-    const auto threads = static_cast<unsigned>(state.range(0));
+    auto& pool = kdc::core::persistent_pool(
+        static_cast<unsigned>(state.range(0)));
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        const auto result = kdc::core::run_kd_experiment_parallel(
-            n, 8, 16, {.balls = n, .reps = 10, .seed = ++seed}, threads);
-        benchmark::DoNotOptimize(result.reps.data());
+        const std::vector<kdc::core::sweep_cell> one_cell{
+            kdc::core::make_sweep_cell(
+                "kd(8,16)", {.balls = n, .reps = 10, .seed = ++seed},
+                [](std::uint64_t s) {
+                    return kdc::core::kd_choice_process(n, 8, 16, s);
+                })};
+        const auto outcomes = kdc::core::run_sweep(pool, one_cell);
+        benchmark::DoNotOptimize(outcomes[0].result.reps.data());
     }
     state.SetItemsProcessed(state.iterations() * 10 * n);
 }
@@ -846,9 +853,7 @@ void bm_sorted_loads(benchmark::State& state) {
 }
 BENCHMARK(bm_sorted_loads);
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     // `--json` switches to the self-contained kernel-comparison harness,
     // `--scenario` to the single-scenario timer; everything else is
     // google-benchmark's usual CLI.
@@ -869,4 +874,10 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

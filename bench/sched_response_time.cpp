@@ -68,9 +68,7 @@ kdc::sched::scheduler_result run_one(std::uint64_t workers,
     return kdc::sched::simulate(config);
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("workers", "256", "cluster size");
     args.add_option("jobs", "20000", "jobs per run");
@@ -172,4 +170,10 @@ int main(int argc, char** argv) {
                  "same probes/job; in (b), shared stays competitive while "
                  "spending 1/k of the messages.\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -226,87 +226,86 @@ int run_guard(const service_config& base,
     return failures;
 }
 
+int main_body(int argc, char** argv) {
+    kdc::arg_parser args;
+    args.add_option("bins", "4096", "bins behind the service");
+    args.add_option("k", "4", "balls per allocate request");
+    args.add_option("d", "8", "probe budget per request");
+    args.add_option("clients", "16", "concurrent client sessions");
+    args.add_option("requests", "20000", "total arrivals");
+    args.add_option("churn", "0.2",
+                    "P(an arrival releases an earlier allocation)");
+    args.add_option("seed", "17", "master seed");
+    args.add_option("shards", "0", "dispatcher shards (0 = auto)");
+    args.add_option("mode", "both", "batch, per_task or both");
+    args.add_option("delay", "0.5", "one-way channel delay");
+    args.add_option("window", "1.0", "dispatcher batching window");
+    args.add_option("service-time", "0.05",
+                    "dispatcher busy time per request");
+    args.add_option("max-batch", "64", "dispatcher drain limit");
+    args.add_threads_option();
+    args.add_scenario_option();
+    args.add_flag("log", "print the allocation log and exit "
+                         "(byte-compared across --threads by CI)");
+    args.add_flag("json", "write the JSON trajectory instead of a table");
+    args.add_option("json-out", "BENCH_service.json", "output path");
+    args.add_flag("guard", "with --json: fail on vacuous latency "
+                           "cells, off-closed-form message costs or "
+                           "oracle divergence");
+    if (!args.parse(argc, argv)) {
+        return 0;
+    }
+    const service_config base = base_config(args);
+
+    if (args.get_flag("log")) {
+        service_config config = base;
+        config.arrival_rate = 0.7 / base.service_time;
+        std::cout << kdc::serve::run_service(config).allocation_log;
+        return 0;
+    }
+
+    const auto cells = run_sweep(base, modes_from_cli(args));
+
+    if (args.get_flag("json")) {
+        const std::string path = args.get_string("json-out");
+        write_json(path, base, cells);
+        std::cerr << "wrote " << path << " (" << cells.size()
+                  << " cells)\n";
+        return args.get_flag("guard") ? run_guard(base, cells) : 0;
+    }
+
+    std::cout << "Allocation service: " << base.bins << " bins, (k="
+              << base.k << ", d=" << base.d << "), " << base.clients
+              << " clients, " << base.requests
+              << " requests, churn " << base.churn
+              << ", simulated time units\n\n";
+    kdc::text_table table;
+    table.set_header({"util", "mode", "p50", "p99", "p999",
+                      "msgs/req", "msgs/ball", "batches", "thrpt"});
+    table.set_align(1, kdc::table_align::left);
+    for (const sweep_cell& cell : cells) {
+        const service_result& r = cell.result;
+        table.add_row({kdc::format_fixed(cell.utilization, 2),
+                       probing_name(cell.mode),
+                       kdc::format_fixed(r.latency_p50, 2),
+                       kdc::format_fixed(r.latency_p99, 2),
+                       kdc::format_fixed(r.latency_p999, 2),
+                       kdc::format_fixed(r.messages_per_request, 1),
+                       kdc::format_fixed(r.messages_per_ball, 2),
+                       std::to_string(r.batches),
+                       kdc::format_fixed(throughput(cell), 2)});
+    }
+    std::cout << table << '\n'
+              << "Shapes to verify: batch mode holds msgs/req = d = "
+              << base.d << " (msgs/ball = d/k) while per_task spends "
+                 "k*d = "
+              << base.k * base.d
+              << "; latency rises with utilization in both modes.\n";
+    return 0;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-    try {
-        kdc::arg_parser args;
-        args.add_option("bins", "4096", "bins behind the service");
-        args.add_option("k", "4", "balls per allocate request");
-        args.add_option("d", "8", "probe budget per request");
-        args.add_option("clients", "16", "concurrent client sessions");
-        args.add_option("requests", "20000", "total arrivals");
-        args.add_option("churn", "0.2",
-                        "P(an arrival releases an earlier allocation)");
-        args.add_option("seed", "17", "master seed");
-        args.add_option("shards", "0", "dispatcher shards (0 = auto)");
-        args.add_option("mode", "both", "batch, per_task or both");
-        args.add_option("delay", "0.5", "one-way channel delay");
-        args.add_option("window", "1.0", "dispatcher batching window");
-        args.add_option("service-time", "0.05",
-                        "dispatcher busy time per request");
-        args.add_option("max-batch", "64", "dispatcher drain limit");
-        args.add_threads_option();
-        args.add_scenario_option();
-        args.add_flag("log", "print the allocation log and exit "
-                             "(byte-compared across --threads by CI)");
-        args.add_flag("json", "write the JSON trajectory instead of a table");
-        args.add_option("json-out", "BENCH_service.json", "output path");
-        args.add_flag("guard", "with --json: fail on vacuous latency "
-                               "cells, off-closed-form message costs or "
-                               "oracle divergence");
-        if (!args.parse(argc, argv)) {
-            return 0;
-        }
-        const service_config base = base_config(args);
-
-        if (args.get_flag("log")) {
-            service_config config = base;
-            config.arrival_rate = 0.7 / base.service_time;
-            std::cout << kdc::serve::run_service(config).allocation_log;
-            return 0;
-        }
-
-        const auto cells = run_sweep(base, modes_from_cli(args));
-
-        if (args.get_flag("json")) {
-            const std::string path = args.get_string("json-out");
-            write_json(path, base, cells);
-            std::cerr << "wrote " << path << " (" << cells.size()
-                      << " cells)\n";
-            return args.get_flag("guard") ? run_guard(base, cells) : 0;
-        }
-
-        std::cout << "Allocation service: " << base.bins << " bins, (k="
-                  << base.k << ", d=" << base.d << "), " << base.clients
-                  << " clients, " << base.requests
-                  << " requests, churn " << base.churn
-                  << ", simulated time units\n\n";
-        kdc::text_table table;
-        table.set_header({"util", "mode", "p50", "p99", "p999",
-                          "msgs/req", "msgs/ball", "batches", "thrpt"});
-        table.set_align(1, kdc::table_align::left);
-        for (const sweep_cell& cell : cells) {
-            const service_result& r = cell.result;
-            table.add_row({kdc::format_fixed(cell.utilization, 2),
-                           probing_name(cell.mode),
-                           kdc::format_fixed(r.latency_p50, 2),
-                           kdc::format_fixed(r.latency_p99, 2),
-                           kdc::format_fixed(r.latency_p999, 2),
-                           kdc::format_fixed(r.messages_per_request, 1),
-                           kdc::format_fixed(r.messages_per_ball, 2),
-                           std::to_string(r.batches),
-                           kdc::format_fixed(throughput(cell), 2)});
-        }
-        std::cout << table << '\n'
-                  << "Shapes to verify: batch mode holds msgs/req = d = "
-                  << base.d << " (msgs/ball = d/k) while per_task spends "
-                     "k*d = "
-                  << base.k * base.d
-                  << "; latency rises with utilization in both modes.\n";
-        return 0;
-    } catch (const std::exception& error) {
-        std::cerr << "error: " << error.what() << '\n';
-        return 1;
-    }
+    return kdc::run_main(argc, argv, main_body);
 }

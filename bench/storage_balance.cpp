@@ -22,7 +22,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("servers", "4096", "number of storage servers");
     args.add_option("files", "100000", "files to place");
@@ -108,4 +110,10 @@ int main(int argc, char** argv) {
                  "  * availability: replication >> chunking at the same "
                  "failure rate.\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

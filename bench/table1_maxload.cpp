@@ -51,9 +51,7 @@ struct cell_meta {
     std::uint64_t d = 0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls (3 * 2^16)");
     args.add_option("reps", "10", "simulation runs per cell (paper: 10)");
@@ -74,11 +72,10 @@ int main(int argc, char** argv) {
     // key. All knobs below come from the merged value.
     kdc::core::scenario base;
     base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.kernel =
-        kdc::core::to_kernel_choice(kdc::core::kernel_from_cli(args));
+    base.kernel = kdc::core::kernel_from_cli(args);
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
-    const auto kernel = kdc::core::resolve_kernel(merged);
+    const auto kernel = kdc::core::resolve_route(merged).kernel;
 
     // One cell per valid grid entry, seeded exactly as the original nested
     // loop did (the counter also advances over invalid '-' cells).
@@ -179,4 +176,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, outcomes);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -22,7 +22,9 @@
 #include "support/text_table.hpp"
 #include "theory/bounds.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("reps", "5", "repetitions per point");
     args.add_option("seed", "3", "master seed");
@@ -82,4 +84,10 @@ int main(int argc, char** argv) {
                  "(k,d) — the additive O(1)\n"
                  "of Theorem 1(i) and the (1+-o(1)) factor of Theorem 1(ii).\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

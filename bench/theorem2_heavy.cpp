@@ -47,9 +47,7 @@ struct cell_meta {
     const char* role = ""; // "lo" | "mid" | "hi"
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins");
     args.add_option("reps", "5", "repetitions per point");
@@ -77,12 +75,11 @@ int main(int argc, char** argv) {
 
     kdc::core::scenario base;
     base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.kernel =
-        kdc::core::to_kernel_choice(kdc::core::kernel_from_cli(args));
+    base.kernel = kdc::core::kernel_from_cli(args);
     base.warmup = kdc::core::warmup_from_name(args.get_string("warmup"));
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
-    const auto kernel = kdc::core::resolve_kernel(merged);
+    const auto kernel = kdc::core::resolve_route(merged).kernel;
 
     // --snapshot-out / --resume turn the invocation into one stage of a
     // resumable heavy campaign instead of the full sandwich sweep.
@@ -199,4 +196,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, outcomes);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -34,7 +34,9 @@
 #include "support/text_table.hpp"
 #include "theory/bounds.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("reps", "10", "repetitions per scheme");
@@ -164,4 +166,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, outcomes);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

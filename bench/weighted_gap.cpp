@@ -45,9 +45,7 @@ struct rep_observation {
     std::uint64_t messages = 0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins");
     args.add_option("rounds-factor", "4",
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
-    const auto kernel = kdc::core::resolve_kernel(merged);
+    const auto kernel = kdc::core::resolve_route(merged).kernel;
     const auto metric = merged.metric;
 
     struct weight_case {
@@ -209,4 +207,10 @@ int main(int argc, char** argv) {
         emitter.write_csv(std::cout, rows);
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

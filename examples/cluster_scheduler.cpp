@@ -18,7 +18,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("workers", "128", "number of worker machines");
     args.add_option("jobs", "10000", "jobs to schedule");
@@ -93,4 +95,10 @@ int main(int argc, char** argv) {
                  "d-choice issues d probes per TASK (k times more for the "
                  "same d).\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -17,7 +17,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("servers", "2048", "number of storage servers");
     args.add_option("files", "50000", "files to place");
@@ -90,4 +92,10 @@ int main(int argc, char** argv) {
                  "placement messages, and chunk search costs k+1 = "
               << k + 1 << " probes vs 2k = " << 2 * k << ".\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -7,7 +7,9 @@
 
 #include "kdchoice.hpp"
 
-int main() {
+namespace {
+
+int main_body(int, char**) {
     // The scenario API through the installed tree: parse, construct via
     // the policy registry, run on the auto-resolved kernel.
     const auto sc =
@@ -40,4 +42,10 @@ int main() {
                 kdc::core::to_string(sc).c_str(),
                 outcomes[0].result.reps.size(), width);
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

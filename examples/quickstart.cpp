@@ -9,10 +9,13 @@
 #include <iostream>
 
 #include "core/kdchoice.hpp"
+#include "support/cli.hpp"
 #include "support/text_table.hpp"
 #include "theory/bounds.hpp"
 
-int main() {
+namespace {
+
+int main_body(int, char**) {
     constexpr std::uint64_t seed = 2024;
 
     // 1. A scenario is ONE declarative value: the paper's (k,d)-choice
@@ -30,7 +33,8 @@ int main() {
     const auto obs = process.observe();
     std::cout << "scenario " << kdc::core::to_string(sc) << "\n"
               << "  kernel     : "
-              << kdc::core::kernel_name(kdc::core::resolve_kernel(sc)) << "\n"
+              << kdc::core::kernel_name(kdc::core::resolve_route(sc).kernel)
+              << "\n"
               << "  max load   : " << obs.max_load << "\n"
               << "  empty bins : " << obs.empty_bins << "\n"
               << "  messages   : " << obs.messages << " ("
@@ -73,4 +77,10 @@ int main() {
                                        static_cast<double>(sc.k), 2)
               << " messages per ball vs 2.0 for two-choice.\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

@@ -18,7 +18,9 @@
 #include "support/text_table.hpp"
 #include "theory/bounds.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int main_body(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins and balls");
     args.add_option("budget", "2", "message budget = d/k (integer >= 2)");
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
                  "d approaches n. That is the paper's 'constant max load at "
                  "O(n) messages' regime.\n";
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    return kdc::run_main(argc, argv, main_body);
 }

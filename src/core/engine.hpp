@@ -1,5 +1,5 @@
 // Adaptive-precision execution engine: the one scheduling core behind
-// run_grid, run_parallel_experiment and run_sweep.
+// run_grid and run_sweep (core/sweep.hpp).
 //
 // Every experiment in this repo is a grid of cells, each cell a sequence of
 // independent repetitions (rep r of a cell depends only on its derived
@@ -310,6 +310,28 @@ run_engine_grid(thread_pool& pool,
         grid[c].resize(cells[c]->final_reps);
     }
     return grid;
+}
+
+/// Fixed-size grid primitive: runs reps_per_cell[c] jobs for every cell c
+/// on the shared pool and returns the per-cell, per-rep results in a
+/// grid[cell][rep] layout. `run(cell, rep)` must be callable concurrently
+/// from many threads and is invoked exactly once per pair, in no particular
+/// order; the *placement* of results is by index, so folding grid[c] in rep
+/// order afterwards is deterministic. Rethrows the first exception any job
+/// (or the progress hook) threw — the grid still runs to completion so the
+/// pool is quiescent on return.
+///
+/// This is the engine's fixed_reps mode; pass a stopping rule to
+/// run_engine_grid directly for adaptive repetition counts.
+template <typename T, typename RunFn>
+[[nodiscard]] std::vector<std::vector<T>>
+run_grid(thread_pool& pool, std::span<const std::uint32_t> reps_per_cell,
+         RunFn&& run, const sweep_progress& progress = {}) {
+    return run_engine_grid<T>(
+        pool, reps_per_cell, std::forward<RunFn>(run),
+        // metric unused under fixed_reps
+        [](std::size_t, const T&) { return 0.0; }, fixed_reps_rule(),
+        progress);
 }
 
 } // namespace kdc::core

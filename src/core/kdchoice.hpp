@@ -22,7 +22,7 @@
 #include "core/runner.hpp"      // multi-repetition experiments
 #include "core/scenario.hpp"    // declarative scenarios: registry + factory
 #include "core/serialized.hpp"  // Definition 1 serialization
-#include "core/sharded_kernel.hpp" // sharded round-parallel kernels
+#include "core/sharded_kernel.hpp" // sharded round-parallel kernel
 #include "core/snapshot_stage.hpp" // --snapshot-out/--resume bench staging
 #include "core/steady_state.hpp" // warmup=ff steady-state fast-forward
 #include "core/sweep.hpp"       // cross-cell grid sweeps on a shared pool

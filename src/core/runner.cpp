@@ -1,21 +1,9 @@
 #include "core/runner.hpp"
 
-#include "core/level_process.hpp"
+#include "core/process.hpp"
 #include "support/cli.hpp"
 
 namespace kdc::core {
-
-kernel_kind kernel_from_cli(const arg_parser& args) {
-    const auto value = args.get_string("kernel");
-    if (value == "perbin") {
-        return kernel_kind::per_bin;
-    }
-    if (value == "level") {
-        return kernel_kind::level;
-    }
-    throw cli_error("option --kernel must be 'perbin' or 'level', got '" +
-                    value + "'");
-}
 
 const char* kernel_name(kernel_kind kernel) noexcept {
     return kernel == kernel_kind::level ? "level" : "perbin";
@@ -72,21 +60,9 @@ std::uint64_t whole_rounds_balls(std::uint64_t n, std::uint64_t k) {
 experiment_result run_kd_experiment(std::uint64_t n, std::uint64_t k,
                                     std::uint64_t d,
                                     const experiment_config& config) {
-    return run_kd_experiment(n, k, d, config, kernel_kind::per_bin);
-}
-
-experiment_result run_kd_experiment(std::uint64_t n, std::uint64_t k,
-                                    std::uint64_t d,
-                                    const experiment_config& config,
-                                    kernel_kind kernel) {
     experiment_config actual = config;
     if (actual.balls == 0) {
         actual.balls = whole_rounds_balls(n, k);
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n, k, d](std::uint64_t seed) {
-            return kd_choice_level_process(n, k, d, seed);
-        });
     }
     return run_experiment(actual, [n, k, d](std::uint64_t seed) {
         return kd_choice_process(n, k, d, seed);
@@ -95,20 +71,9 @@ experiment_result run_kd_experiment(std::uint64_t n, std::uint64_t k,
 
 experiment_result
 run_single_choice_experiment(std::uint64_t n, const experiment_config& config) {
-    return run_single_choice_experiment(n, config, kernel_kind::per_bin);
-}
-
-experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config,
-                             kernel_kind kernel) {
     experiment_config actual = config;
     if (actual.balls == 0) {
         actual.balls = n;
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n](std::uint64_t seed) {
-            return single_choice_level_process(n, seed);
-        });
     }
     return run_experiment(actual, [n](std::uint64_t seed) {
         return single_choice_process(n, seed);
@@ -117,20 +82,9 @@ run_single_choice_experiment(std::uint64_t n, const experiment_config& config,
 
 experiment_result run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
                                           const experiment_config& config) {
-    return run_d_choice_experiment(n, d, config, kernel_kind::per_bin);
-}
-
-experiment_result run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                                          const experiment_config& config,
-                                          kernel_kind kernel) {
     experiment_config actual = config;
     if (actual.balls == 0) {
         actual.balls = n;
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n, d](std::uint64_t seed) {
-            return d_choice_level_process(n, d, seed);
-        });
     }
     return run_experiment(actual, [n, d](std::uint64_t seed) {
         return d_choice_process(n, d, seed);

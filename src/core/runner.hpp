@@ -6,10 +6,10 @@
 //
 // This serial runner is the semantic reference for the whole execution
 // stack: core/engine.hpp (chunked scheduling + stopping rules on the
-// persistent pool of core/thread_pool.hpp), core/parallel_runner.hpp (the
-// one-cell parallel entry points) and core/sweep.hpp (named multi-cell
-// sweeps) all promise results bit-identical to folding run_one_repetition
-// outputs in repetition order exactly as run_experiment below does.
+// persistent pool of core/thread_pool.hpp) and core/sweep.hpp (named
+// multi-cell sweeps; a one-cell sweep is the parallel experiment) promise
+// results bit-identical to folding run_one_repetition outputs in
+// repetition order exactly as run_experiment below does.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +23,6 @@
 #include "stats/running_stats.hpp"
 #include "support/contracts.hpp"
 
-namespace kdc {
-class arg_parser;
-} // namespace kdc
-
 namespace kdc::core {
 
 /// Which simulation kernel backs an experiment's processes:
@@ -36,10 +32,6 @@ namespace kdc::core {
 ///     O(max-load) state; distributionally identical, not bit-identical —
 ///     billion-bin and heavily loaded runs belong here.
 enum class kernel_kind { per_bin, level };
-
-/// Parses the standard `--kernel={perbin,level}` option declared by
-/// arg_parser::add_kernel_option(). Throws cli_error on any other value.
-[[nodiscard]] kernel_kind kernel_from_cli(const arg_parser& args);
 
 /// Short name for labels and CSV cells: "perbin" or "level".
 [[nodiscard]] const char* kernel_name(kernel_kind kernel) noexcept;
@@ -188,31 +180,22 @@ template <typename Factory>
 [[nodiscard]] std::uint64_t whole_rounds_balls(std::uint64_t n,
                                                std::uint64_t k);
 
-/// Convenience: the (k,d)-choice experiment with n bins and `balls` balls
-/// (balls defaults to whole_rounds_balls(n, k) when 0 is passed). The
-/// kernel overloads run the same experiment on the chosen state
-/// representation; per_bin reproduces the two-argument overload exactly.
+/// Convenience: the per-bin (k,d)-choice experiment with n bins and
+/// `balls` balls (balls defaults to whole_rounds_balls(n, k) when 0 is
+/// passed). Other kernels and policies run through run_scenario_experiment
+/// (core/scenario.hpp).
 [[nodiscard]] experiment_result
 run_kd_experiment(std::uint64_t n, std::uint64_t k, std::uint64_t d,
                   const experiment_config& config);
-[[nodiscard]] experiment_result
-run_kd_experiment(std::uint64_t n, std::uint64_t k, std::uint64_t d,
-                  const experiment_config& config, kernel_kind kernel);
 
 /// Convenience: single-choice with the same aggregation (Table 1's d = 1
 /// column).
 [[nodiscard]] experiment_result
 run_single_choice_experiment(std::uint64_t n, const experiment_config& config);
-[[nodiscard]] experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config,
-                             kernel_kind kernel);
 
 /// Convenience: classic d-choice (Table 1's k = 1 row).
 [[nodiscard]] experiment_result
 run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
                         const experiment_config& config);
-[[nodiscard]] experiment_result
-run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                        const experiment_config& config, kernel_kind kernel);
 
 } // namespace kdc::core

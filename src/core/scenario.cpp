@@ -226,6 +226,18 @@ const char* kernel_choice_name(kernel_choice kernel) noexcept {
     return "auto";
 }
 
+kernel_choice kernel_from_cli(const arg_parser& args) {
+    const auto value = args.get_string("kernel");
+    if (value == "perbin") {
+        return kernel_choice::per_bin;
+    }
+    if (value == "level") {
+        return kernel_choice::level;
+    }
+    throw cli_error("option --kernel must be 'perbin' or 'level', got '" +
+                    value + "'");
+}
+
 scenario parse_scenario(std::string_view text) {
     return parse_scenario(text, scenario{});
 }
@@ -357,8 +369,38 @@ std::string resolved_policy(const scenario& sc) {
     return sc.family;
 }
 
-void validate_scenario(const scenario& sc) {
-    const std::string policy = resolved_policy(sc);
+namespace {
+
+/// The policies that place whole rounds of k balls.
+bool round_based(const std::string& policy, const scenario& sc) {
+    return (policy == "kd" && sc.d > 1) || policy == "greedy" ||
+           policy == "weighted";
+}
+
+/// The steady-state shape warmup=ff knows for `policy`, if any.
+std::optional<steady_shape> steady_shape_of(const std::string& policy,
+                                            const scenario& sc) {
+    if (policy == "kd") {
+        return sc.d == 1 ? steady_shape::single : steady_shape::kd;
+    }
+    if (policy == "single") {
+        return steady_shape::single;
+    }
+    if (policy == "dchoice") {
+        return steady_shape::dchoice;
+    }
+    if (policy == "one_plus_beta") {
+        return steady_shape::one_plus_beta;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+route resolve_route(const scenario& sc) {
+    route r;
+    r.policy = resolved_policy(sc);
+    const std::string& policy = r.policy;
     const auto& info = policy_registry::instance().at(policy);
     if (sc.n < 1) {
         throw cli_error("scenario needs n >= 1 bins");
@@ -383,12 +425,11 @@ void validate_scenario(const scenario& sc) {
                             std::to_string(sc.n));
         }
     }
-    // The round-based policies place whole rounds of k balls; an explicit
-    // balls count that is not a multiple of k must fail here as a
-    // cli_error, not later as a contract violation on a worker thread.
-    if (sc.balls != 0 && sc.balls % sc.k != 0 &&
-        ((policy == "kd" && sc.d > 1) || policy == "greedy" ||
-         policy == "weighted")) {
+    // The round-based policies place whole rounds of k balls (k >= 1 is
+    // checked above); an explicit balls count that is not a multiple of k
+    // must fail here as a cli_error, not later as a contract violation on
+    // a worker thread. The per-ball policies ignore k, which may be 0.
+    if (sc.balls != 0 && round_based(policy, sc) && sc.balls % sc.k != 0) {
         throw cli_error("scenario key 'balls' must be a whole number of "
                         "rounds (a multiple of k=" +
                         std::to_string(sc.k) + ") for policy '" + policy +
@@ -408,18 +449,19 @@ void validate_scenario(const scenario& sc) {
         throw cli_error("scenario key 'cap' must lie in [1, 2^32) (a ball "
                         "probes at least once)");
     }
-    if (sc.replacement == probe_mode::without_replacement &&
-        !info.supports_replacement) {
+    const bool with_replacement =
+        sc.replacement == probe_mode::with_replacement;
+    if (!with_replacement && !info.supports_replacement) {
         throw cli_error("policy '" + policy +
                         "' only supports replacement=with (the "
                         "without-replacement ablation exists for 'kd' on "
                         "the perbin kernel)");
     }
-    // par=round is the sharded (k,d)-choice kernel: it replays the serial
-    // kd tape, so only the paper's process qualifies — the 'kd' family
-    // proper (not its d=1 single-choice degeneration) with the
-    // with-replacement probes the tape encodes.
-    if (sc.par == par_mode::round) {
+    // par=round replays the serial kd tape, so only the paper's process
+    // qualifies — the 'kd' family proper (not its d=1 single-choice
+    // degeneration) with the with-replacement probes the tape encodes.
+    const bool round = sc.par == par_mode::round;
+    if (round) {
         if (policy != "kd") {
             throw cli_error("par=round (the sharded round-parallel kernel) "
                             "supports the 'kd' family only, got policy '" +
@@ -430,29 +472,15 @@ void validate_scenario(const scenario& sc) {
                             "single-choice degeneration has no rounds to "
                             "shard)");
         }
-        if (sc.replacement != probe_mode::with_replacement) {
+        if (!with_replacement) {
             throw cli_error("par=round replays the with-replacement probe "
                             "tape; use replacement=with or par=rep");
         }
     }
-    // kernel=level incompatibilities are resolve_kernel's job; validating
-    // here too keeps parse_scenario errors early and complete.
-    if (sc.kernel == kernel_choice::level) {
-        (void)resolve_kernel(sc);
-    }
-    // warmup=ff support (level kernel, known steady-state shape) is
-    // plan_fast_forward's job — its cli_errors surface at parse time too.
-    if (sc.warmup == warmup_mode::fast_forward) {
-        (void)plan_fast_forward(sc);
-    }
-}
-
-kernel_kind resolve_kernel(const scenario& sc) {
-    const std::string policy = resolved_policy(sc);
-    const auto& info = policy_registry::instance().at(policy);
     switch (sc.kernel) {
     case kernel_choice::per_bin:
-        return kernel_kind::per_bin;
+        r.kernel = kernel_kind::per_bin;
+        break;
     case kernel_choice::level:
         if (!info.supports_level) {
             throw cli_error(
@@ -460,28 +488,49 @@ kernel_kind resolve_kernel(const scenario& sc) {
                 "' has no level-compressed kernel; kernel=level supports: " +
                 join(policy_registry::instance().level_capable_names()));
         }
-        if (sc.replacement == probe_mode::without_replacement) {
+        if (!with_replacement) {
             throw cli_error("kernel=level simulates the paper's "
                             "with-replacement probes; use replacement=with "
                             "or kernel=perbin");
         }
-        return kernel_kind::level;
+        r.kernel = kernel_kind::level;
+        break;
     case kernel_choice::auto_pick:
+        r.kernel = info.supports_level && with_replacement
+                       ? kernel_kind::level
+                       : kernel_kind::per_bin;
         break;
     }
-    return info.supports_level &&
-                   sc.replacement == probe_mode::with_replacement
-               ? kernel_kind::level
-               : kernel_kind::per_bin;
+    // The sharded kernel parallelizes the per-bin kernel's rounds; the
+    // level kernel's draws condition on the exact current profile, so
+    // par=round there runs the serial level kernel (identical output).
+    r.sharded = round && r.kernel == kernel_kind::per_bin;
+    if (sc.warmup == warmup_mode::fast_forward) {
+        if (r.kernel != kernel_kind::level) {
+            throw cli_error(
+                "warmup=ff jump-starts a level profile; the scenario must "
+                "resolve to kernel=level (kernel=perbin keeps per-bin state "
+                "the fast-forward cannot synthesize)");
+        }
+        r.fast_forward = steady_shape_of(policy, sc);
+        if (!r.fast_forward) {
+            throw cli_error(
+                "warmup=ff knows the steady-state shape of the 'kd', "
+                "'single', 'dchoice' and 'one_plus_beta' policies only, got "
+                "policy '" +
+                policy + "'");
+        }
+    }
+    return r;
 }
+
+void validate_scenario(const scenario& sc) { (void)resolve_route(sc); }
 
 std::uint64_t resolved_balls(const scenario& sc) {
     if (sc.balls != 0) {
         return sc.balls;
     }
-    const std::string policy = resolved_policy(sc);
-    if ((policy == "kd" && sc.d > 1) || policy == "greedy" ||
-        policy == "weighted") {
+    if (round_based(resolved_policy(sc), sc)) {
         return whole_rounds_balls(sc.n, sc.k);
     }
     return sc.n; // per-ball policies (and the single-choice degeneration)
@@ -550,29 +599,26 @@ policy_registry::policy_registry() {
         {"kd",
          "the paper's (k,d)-choice; d=1 degenerates to single-choice",
          /*supports_level=*/true, /*supports_replacement=*/true,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
+         [](const scenario& sc, const route& r, std::uint64_t seed) {
+             const bool level = r.kernel == kernel_kind::level;
              if (sc.d == 1) {
                  // The Table-1 (1,1) cell: single choice by construction.
-                 if (kernel == kernel_kind::level) {
+                 if (level) {
                      return any_process(
                          single_choice_level_process(sc.n, seed));
                  }
                  return any_process(single_choice_process(sc.n, seed));
              }
-             if (sc.par == par_mode::round) {
-                 // The sharded round-parallel kernels: byte-identical to
-                 // the serial kernels below (validate_scenario already
-                 // pinned replacement=with and d >= 2).
-                 if (kernel == kernel_kind::level) {
-                     return any_process(sharded_kd_level_process(
-                         sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
-                 }
-                 return any_process(sharded_kd_process(
-                     sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
-             }
-             if (kernel == kernel_kind::level) {
+             if (level) {
                  return any_process(
                      kd_choice_level_process(sc.n, sc.k, sc.d, seed));
+             }
+             if (r.sharded) {
+                 // The sharded round-parallel kernel: byte-identical to the
+                 // serial per-bin kernel below (resolve_route already
+                 // pinned replacement=with and d >= 2).
+                 return any_process(sharded_kd_process(
+                     sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
              }
              kd_choice_process process(sc.n, sc.k, sc.d, seed);
              process.set_probe_mode(sc.replacement);
@@ -581,8 +627,8 @@ policy_registry::policy_registry() {
     register_policy(
         {"single", "classical single-choice (one uniform probe per ball)",
          /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
+         [](const scenario& sc, const route& r, std::uint64_t seed) {
+             if (r.kernel == kernel_kind::level) {
                  return any_process(single_choice_level_process(sc.n, seed));
              }
              return any_process(single_choice_process(sc.n, seed));
@@ -591,8 +637,8 @@ policy_registry::policy_registry() {
         {"dchoice",
          "classical d-choice of Azar et al. (least loaded of d probes)",
          /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
+         [](const scenario& sc, const route& r, std::uint64_t seed) {
+             if (r.kernel == kernel_kind::level) {
                  return any_process(
                      d_choice_level_process(sc.n, sc.d, seed));
              }
@@ -603,7 +649,7 @@ policy_registry::policy_registry() {
          "the Section 7 modified policy (no multiplicity cap on "
          "less-loaded distinct bins)",
          /*supports_level=*/false, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind, std::uint64_t seed) {
+         [](const scenario& sc, const route&, std::uint64_t seed) {
              return any_process(
                  batched_greedy_process(sc.n, sc.k, sc.d, seed));
          }});
@@ -612,8 +658,8 @@ policy_registry::policy_registry() {
          "weighted (k,d)-choice: Pareto ball weights with tail skew "
          "(skew=0 = unit weights)",
          /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
+         [](const scenario& sc, const route& r, std::uint64_t seed) {
+             if (r.kernel == kernel_kind::level) {
                  return any_process(weighted_kd_level_process(
                      sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
              }
@@ -625,8 +671,8 @@ policy_registry::policy_registry() {
          "the (1+beta)-choice of Peres-Talwar-Wieder (two-choice with "
          "probability beta)",
          /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
+         [](const scenario& sc, const route& r, std::uint64_t seed) {
+             if (r.kernel == kernel_kind::level) {
                  return any_process(
                      one_plus_beta_level_process(sc.n, sc.beta, seed));
              }
@@ -638,7 +684,7 @@ policy_registry::policy_registry() {
          "adaptive threshold probing (Czumaj-Stemann flavor): probe until "
          "load < threshold, up to cap probes",
          /*supports_level=*/false, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind, std::uint64_t seed) {
+         [](const scenario& sc, const route&, std::uint64_t seed) {
              return any_process(adaptive_threshold_process(
                  sc.n, sc.threshold, static_cast<std::uint32_t>(sc.cap),
                  seed));
@@ -649,39 +695,52 @@ policy_registry::policy_registry() {
 // Factories and runners
 // ---------------------------------------------------------------------------
 
-any_process make_process(const scenario& sc, std::uint64_t seed) {
-    validate_scenario(sc);
-    if (sc.warmup == warmup_mode::fast_forward) {
+namespace {
+
+/// Builds one repetition's process on an already resolved route; `make` is
+/// the route policy's registry factory.
+any_process build_process(const scenario& sc, const route& r,
+                          const decltype(policy_info::make)& make,
+                          std::uint64_t seed) {
+    if (r.fast_forward) {
         // The fast-forward wrapper defers the steady-state jump to its
         // first run_balls call (only then is the run's total known) and
         // settles on the scenario's level kernel.
-        return any_process(
-            fast_forwarded_process(sc, plan_fast_forward(sc), seed));
+        return any_process(fast_forwarded_process(sc, r, seed));
     }
-    const kernel_kind kernel = resolve_kernel(sc);
-    const auto& info = policy_registry::instance().at(resolved_policy(sc));
-    if (kernel == kernel_kind::per_bin) {
-        try {
-            fault_point(fault_site::perbin_alloc);
-            return info.make(sc, kernel, seed);
-        } catch (const std::bad_alloc&) {
-            // Graceful degradation: the per-bin kernel's O(n) state is the
-            // only allocation that scales with n, and the level kernel
-            // simulates the SAME distribution whenever the policy has one
-            // and probes are with replacement. Fall back instead of dying;
-            // anything else (or a second failure) propagates.
-            if (!info.supports_level ||
-                sc.replacement != probe_mode::with_replacement) {
-                throw;
-            }
-            std::cerr << "make_process: per-bin state allocation failed for "
-                         "n=" << sc.n
-                      << "; degrading to the level kernel (same "
-                         "distribution, O(max load) state)\n";
-            return info.make(sc, kernel_kind::level, seed);
+    return make(sc, r, seed);
+}
+
+} // namespace
+
+any_process make_process(const scenario& sc, std::uint64_t seed) {
+    const route r = resolve_route(sc);
+    const auto& info = policy_registry::instance().at(r.policy);
+    if (r.fast_forward || r.kernel != kernel_kind::per_bin) {
+        return build_process(sc, r, info.make, seed);
+    }
+    try {
+        fault_point(fault_site::perbin_alloc);
+        return info.make(sc, r, seed);
+    } catch (const std::bad_alloc&) {
+        // Graceful degradation: the per-bin kernel's O(n) state is the
+        // only allocation that scales with n, and the level kernel
+        // simulates the SAME distribution whenever the policy has one and
+        // probes are with replacement. Fall back instead of dying;
+        // anything else (or a second failure) propagates.
+        if (!info.supports_level ||
+            sc.replacement != probe_mode::with_replacement) {
+            throw;
         }
+        std::cerr << "make_process: per-bin state allocation failed for "
+                     "n=" << sc.n
+                  << "; degrading to the level kernel (same "
+                     "distribution, O(max load) state)\n";
+        route level = r;
+        level.kernel = kernel_kind::level;
+        level.sharded = false;
+        return info.make(sc, level, seed);
     }
-    return info.make(sc, kernel, seed);
 }
 
 repetition_result run_scenario_repetition(const scenario& sc,
@@ -738,7 +797,7 @@ experiment_result run_scenario_experiment(const scenario& sc,
 
 sweep_cell make_scenario_cell(std::string name, const scenario& sc,
                               experiment_config config) {
-    validate_scenario(sc);
+    const route r = resolve_route(sc);
     if (config.balls == 0) {
         config.balls = resolved_balls(sc);
     }
@@ -749,29 +808,14 @@ sweep_cell make_scenario_cell(std::string name, const scenario& sc,
     cell.name = std::move(name);
     cell.config = config;
     cell.metric = sc.metric;
-    if (sc.warmup == warmup_mode::fast_forward) {
-        // Resolve the fast-forward plan here for the same reason the
-        // registry factory is copied below: repetition jobs on worker
-        // threads must never consult the (unsynchronized) registry.
-        const ff_plan plan = plan_fast_forward(sc);
-        cell.run_rep = [sc, plan,
-                        balls = config.balls](std::uint64_t derived_seed) {
-            fast_forwarded_process process(sc, plan, derived_seed);
-            process.run_balls(balls);
-            return to_repetition_result(process.observe());
-        };
-        return cell;
-    }
-    const kernel_kind kernel = resolve_kernel(sc);
-    // Copy the factory out of the registry here: repetition jobs on worker
-    // threads never touch the (unsynchronized) registry.
-    auto make = policy_registry::instance().at(resolved_policy(sc)).make;
-    // Repetition jobs already saturate the pool, so a par=round cell runs
-    // its sharded phases inline on the owning worker — the output is
-    // byte-identical either way (that is the sharded kernel's contract).
-    cell.run_rep = [sc, kernel, make = std::move(make),
+    // Copy the policy entry out of the registry here: repetition jobs on
+    // worker threads never touch the (unsynchronized) registry. Repetition
+    // jobs already saturate the pool, so a sharded cell runs its phases
+    // inline on the owning worker — the output is byte-identical either
+    // way (that is the sharded kernel's contract).
+    cell.run_rep = [sc, r, make = policy_registry::instance().at(r.policy).make,
                     balls = config.balls](std::uint64_t derived_seed) {
-        auto process = make(sc, kernel, derived_seed);
+        auto process = build_process(sc, r, make, derived_seed);
         process.run_balls(balls);
         return to_repetition_result(process.observe());
     };

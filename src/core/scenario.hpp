@@ -12,10 +12,11 @@
 //     auto obs = p.observe();
 //
 // One string grammar (`family:key=value,key=value,...`), one string-keyed
-// POLICY REGISTRY behind construction, and one `make_process` factory that
-// dispatches to the right simulation kernel — including the
-// level-compressed weighted and (1+beta) kernels — with `kernel=auto`
-// picking the level kernel whenever the resolved policy supports it.
+// POLICY REGISTRY behind construction, one ROUTE TABLE (resolve_route)
+// that decides which simulation kernel a scenario runs on — including the
+// level-compressed weighted and (1+beta) kernels, with `kernel=auto`
+// picking the level kernel whenever the resolved policy supports it — and
+// one `make_process` factory that builds the routed kernel.
 //
 // Grammar
 // -------
@@ -23,7 +24,7 @@
 //   pair      := key "=" value
 //   family    := a registered policy name (see below); default "kd"
 //   keys      := n, k, d, balls, probe, skew, beta, threshold, cap,
-//                replacement, kernel, metric, warmup
+//                replacement, kernel, par, shards, selpar, metric, warmup
 //
 //   probe       = uniform | weighted | one_plus_beta | threshold
 //                 (probe modifies the "kd" family; the probe policies are
@@ -42,16 +43,20 @@
 //   kernel      = perbin | level | auto
 //   par         = rep | round  (rep = repetition-level parallelism, the
 //                 default; round = the sharded round-parallel kernel of
-//                 core/sharded_kernel.hpp inside each repetition —
+//                 core/sharded_kernel.hpp inside each per-bin repetition —
 //                 byte-identical output, "kd" family with d >= 2 and
-//                 replacement=with only)
-//   shards      = auto | N  (par=round: shard-count request, resolved via
-//                 resolve_shard_count; auto sizes the shard windows to the
-//                 detected L2 cache — shard_auto_config)
-//   selpar      = auto | N  (par=round: selection-segment request for the
-//                 per-bin sharded kernel's partitioned selection phase,
-//                 resolved per chunk via resolve_selection_segments; output
-//                 is byte-identical for every value)
+//                 replacement=with only; on the level kernel par=round
+//                 runs the serial level kernel, whose rounds are
+//                 inherently sequential)
+//   shards      = auto | N  (par=round, per-bin kernel: shard-count request,
+//                 resolved via resolve_shard_count; auto sizes the shard
+//                 windows to the detected L2 cache — shard_auto_config;
+//                 accepted and ignored on the level kernel)
+//   selpar      = auto | N  (par=round, per-bin kernel: selection-segment
+//                 request for the partitioned selection phase, resolved per
+//                 chunk via resolve_selection_segments; output is
+//                 byte-identical for every value; ignored on the level
+//                 kernel)
 //   metric      = max_load | gap | messages  (what adaptive stopping rules
 //                 monitor for cells built from this scenario)
 //   warmup      = full | ff  (full = simulate every ball, the default;
@@ -80,6 +85,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,10 +118,16 @@ enum class probe_policy { uniform, weighted, one_plus_beta, threshold };
 [[nodiscard]] const char* probe_policy_name(probe_policy probe) noexcept;
 
 /// Which kernel the scenario asks for; unlike kernel_kind this includes
-/// `auto` ("level whenever the policy supports it", resolve_kernel).
+/// `auto` ("level whenever the policy supports it", resolve_route).
 enum class kernel_choice { per_bin, level, auto_pick };
 
 [[nodiscard]] const char* kernel_choice_name(kernel_choice kernel) noexcept;
+
+/// Parses the standard `--kernel={perbin,level}` option declared by
+/// arg_parser::add_kernel_option() — how benches map their legacy flag onto
+/// a base scenario before `--scenario` merges over it. Throws cli_error on
+/// any other value.
+[[nodiscard]] kernel_choice kernel_from_cli(const arg_parser& args);
 
 /// Whether a run simulates its warmup ball by ball (`full`) or jumps to a
 /// synthesized steady-state profile and settles (`ff`,
@@ -127,15 +139,6 @@ enum class warmup_mode { full, fast_forward };
 /// Parses "full" / "ff" — the scenario grammar's warmup= values, also used
 /// by the heavy benches' --warmup flag. Throws cli_error otherwise.
 [[nodiscard]] warmup_mode warmup_from_name(const std::string& text);
-
-/// Lifts a resolved kernel into the request enum — how benches map their
-/// legacy `--kernel` flag onto a base scenario before `--scenario` merges
-/// over it.
-[[nodiscard]] constexpr kernel_choice
-to_kernel_choice(kernel_kind kernel) noexcept {
-    return kernel == kernel_kind::level ? kernel_choice::level
-                                        : kernel_choice::per_bin;
-}
 
 /// The declarative scenario value. Fields not meaningful for the resolved
 /// policy (e.g. beta under probe=uniform) are carried but ignored.
@@ -173,18 +176,46 @@ struct scenario {
 /// Canonical string spelling of a scenario; parse_scenario round-trips it.
 [[nodiscard]] std::string to_string(const scenario& sc);
 
-/// Validates the scenario against its resolved policy (parameter ranges,
-/// probe/family compatibility). Throws cli_error on violations.
+/// The steady-state shape a warmup=ff run synthesizes
+/// (core/steady_state.hpp): which closed form or pilot process stands in
+/// for the skipped warmup, and which level kernel settles on top of it.
+enum class steady_shape { kd, single, dchoice, one_plus_beta };
+
+/// Where a scenario runs. Every builder — make_process, make_scenario_cell,
+/// the registry factories, the fast-forward (whose ff_plan is a route) and
+/// the snapshot stage — dispatches on this value instead of re-reading the
+/// scenario's kernel=, par= and warmup= keys.
+struct route {
+    std::string policy; ///< the registry key (resolved_policy)
+    kernel_kind kernel = kernel_kind::per_bin; ///< resolved: never auto
+    /// A per-bin "kd" run on the sharded round-parallel kernel (par=round;
+    /// sharded_kd_process). The level kernel's rounds are serial, so a
+    /// par=round level route is not sharded.
+    bool sharded = false;
+    /// warmup=ff: the shape the fast-forward synthesizes; nullopt = full
+    /// warmup, every ball simulated.
+    std::optional<steady_shape> fast_forward;
+
+    [[nodiscard]] bool operator==(const route&) const = default;
+};
+
+/// THE route table: validates the scenario and resolves it to its route.
+/// Throws cli_error — checked in this order, so a scenario with several
+/// faults always reports the same one — on parameter ranges, probe/family
+/// compatibility, replacement=without outside the per-bin 'kd' kernel,
+/// par=round outside the 'kd' family with d >= 2 and replacement=with,
+/// kernel=level for a policy without a level kernel (the error names the
+/// level-capable set), and warmup=ff off the level kernel or for a policy
+/// whose steady-state shape is unknown. kernel=auto resolves to level
+/// whenever the policy supports it and the probes are with-replacement.
+[[nodiscard]] route resolve_route(const scenario& sc);
+
+/// Validates the scenario: resolve_route, result discarded.
 void validate_scenario(const scenario& sc);
 
 /// The registry key the scenario resolves to: the probe policy's name when
 /// a non-uniform probe modifies the "kd" family, else the family itself.
 [[nodiscard]] std::string resolved_policy(const scenario& sc);
-
-/// Resolves kernel=auto (level whenever the policy supports it and the
-/// probes are with-replacement) and rejects kernel=level for policies
-/// without a level kernel — the error names the level-capable set.
-[[nodiscard]] kernel_kind resolve_kernel(const scenario& sc);
 
 /// The scenario's ball count: `balls` when set, else the policy default
 /// (whole rounds of k for the batch policies, n for the per-ball ones).
@@ -354,9 +385,9 @@ struct policy_info {
     std::string summary;
     bool supports_level = false;       ///< has a level-compressed kernel
     bool supports_replacement = false; ///< honors replacement=without
-    /// Builds a fresh process. `kernel` is already resolved (never auto)
-    /// and valid for this policy; must be const-callable concurrently.
-    std::function<any_process(const scenario& sc, kernel_kind kernel,
+    /// Builds a fresh full-warmup process on `r`, the scenario's resolved
+    /// route (valid for this policy); must be const-callable concurrently.
+    std::function<any_process(const scenario& sc, const route& r,
                               std::uint64_t seed)>
         make;
 };
@@ -389,12 +420,12 @@ private:
     std::map<std::string, policy_info, std::less<>> entries_;
 };
 
-/// THE factory: validates the scenario, resolves the kernel, looks the
-/// policy up in the registry and builds the process for one repetition.
+/// THE factory: resolves the scenario's route, looks the policy up in the
+/// registry and builds the process for one repetition.
 [[nodiscard]] any_process make_process(const scenario& sc, std::uint64_t seed);
 
 /// One repetition of a scenario: build, run `balls` balls, observe. The
-/// pool overload hands `pool` to pool_aware processes (sc.par = round)
+/// pool overload hands `pool` to pool_aware processes (the sharded route)
 /// before running; results are byte-identical with or without a pool.
 [[nodiscard]] repetition_result
 run_scenario_repetition(const scenario& sc, std::uint64_t derived_seed,
@@ -412,7 +443,7 @@ run_scenario_experiment(const scenario& sc, const experiment_config& config);
 
 /// The intra-repetition execution mode: repetitions still run (and fold) in
 /// repetition order on the calling thread, but each repetition's process is
-/// offered `pool` — under par=round its sharded phases spread across the
+/// offered `pool` — on the sharded route its phases spread across the
 /// workers. Byte-identical to the pool-less overload for every scenario.
 [[nodiscard]] experiment_result
 run_scenario_experiment(const scenario& sc, const experiment_config& config,
@@ -420,8 +451,9 @@ run_scenario_experiment(const scenario& sc, const experiment_config& config,
 
 /// A sweep cell whose repetitions run `sc` (core/sweep.hpp). The cell's
 /// monitored metric is sc.metric; config.balls = 0 means resolved_balls.
-/// The policy factory is copied out of the registry here, so the returned
-/// cell never touches the registry from worker threads.
+/// The route is resolved and the policy factory copied out of the registry
+/// here, once per cell, so repetitions on worker threads never touch the
+/// registry.
 [[nodiscard]] sweep_cell make_scenario_cell(std::string name,
                                             const scenario& sc,
                                             experiment_config config);

@@ -14,7 +14,6 @@
 
 #include "core/fault_injection.hpp"
 #include "core/level_process.hpp"
-#include "core/sharded_kernel.hpp"
 #include "core/steady_state.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/cli.hpp"
@@ -250,16 +249,16 @@ bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
         return false;
     }
 
-    validate_scenario(sc);
-    if (resolve_kernel(sc) != kernel_kind::level) {
+    const route r = resolve_route(sc);
+    if (r.kernel != kernel_kind::level) {
         throw cli_error("snapshot staging persists level profiles; the "
                         "scenario must resolve to kernel=level (use "
                         "kernel=level or kernel=auto with a level-capable "
                         "policy)");
     }
-    if (resolved_policy(sc) != "kd" || sc.d < 2) {
+    if (r.policy != "kd" || sc.d < 2) {
         throw cli_error("snapshot staging supports the 'kd' family with "
-                        "d >= 2, got policy '" + resolved_policy(sc) + "'");
+                        "d >= 2, got policy '" + r.policy + "'");
     }
 
     std::optional<loaded_snapshot> resumed;
@@ -295,35 +294,25 @@ bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
               << " seed=" << seed << " balls=" << balls << '\n';
     if (resumed) {
         print_profile_line(stage_out, "resumed", initial);
-    } else if (sc.warmup == warmup_mode::fast_forward) {
+    } else if (r.fast_forward) {
         // A fresh warmup=ff stage starts from the synthesized steady-state
         // profile and simulates only the settle suffix; a --resume snapshot
         // always wins over the synthesis (its profile is the real thing).
-        const ff_plan plan = plan_fast_forward(sc);
         const ff_split split = fast_forward_split(sc, balls);
         if (split.ff_balls > 0) {
-            initial = steady_state_profile(sc, plan, split.ff_balls,
+            initial = steady_state_profile(sc, r, split.ff_balls,
                                            rng::derive_seed(seed, 1));
             balls = split.settle_balls;
             print_profile_line(stage_out, "fast-forwarded", initial);
         }
     }
 
-    // Each stage is its own independently seeded process over the evolving
-    // profile; par=round swaps in the sharded level kernel (identical
-    // profile output — its contract).
-    level_profile final_profile = [&] {
-        if (sc.par == par_mode::round) {
-            sharded_kd_level_process process(std::move(initial), sc.k, sc.d,
-                                             derived, sc.shards);
-            process.run_balls(balls);
-            return process.profile();
-        }
-        kd_choice_level_process process(std::move(initial), sc.k, sc.d,
-                                        derived);
-        process.run_balls(balls);
-        return process.profile();
-    }();
+    // Each stage is its own independently seeded level process over the
+    // evolving profile (a par=round stage routes here too: the level
+    // kernel's rounds are serial, so its output is the same by design).
+    kd_choice_level_process process(std::move(initial), sc.k, sc.d, derived);
+    process.run_balls(balls);
+    const level_profile& final_profile = process.profile();
 
     print_profile_line(stage_out, "final", final_profile);
     if (!snapshot_out.empty()) {

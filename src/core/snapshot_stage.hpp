@@ -34,10 +34,10 @@ namespace kdc::core {
 /// `out`, and returns true (the caller should exit successfully).
 ///
 /// Staging requires the level kernel (profiles are level state) and the
-/// "kd" family with d >= 2; sc.par = round runs the stage on the sharded
-/// level kernel — identical output. Violations and unreadable or mismatched
-/// snapshots (a profile whose n differs from the scenario's) throw
-/// cli_error / std::runtime_error with a precise message.
+/// "kd" family with d >= 2; par=round routes to the same serial level
+/// kernel (shards= and selpar= do nothing there). Violations and unreadable
+/// or mismatched snapshots (a profile whose n differs from the scenario's)
+/// throw cli_error / std::runtime_error with a precise message.
 bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
                         std::uint64_t seed, std::ostream& out);
 

@@ -8,9 +8,7 @@
 #include "core/baselines.hpp"
 #include "core/fault_injection.hpp"
 #include "core/level_process.hpp"
-#include "core/sharded_kernel.hpp"
 #include "rng/splitmix64.hpp"
-#include "support/cli.hpp"
 
 namespace kdc::core {
 
@@ -77,19 +75,19 @@ std::vector<double> pilot_targets(const scenario& sc, const ff_plan& plan,
         const std::uint64_t pilot_seed =
             rng::derive_seed(seed ^ pilot_salt, rep);
         const level_profile profile = [&] {
-            switch (plan.policy) {
-            case ff_plan::policy_kind::dchoice: {
+            switch (*plan.fast_forward) {
+            case steady_shape::dchoice: {
                 d_choice_level_process pilot(n_p, sc.d, pilot_seed);
                 pilot.run_balls(pilot_balls);
                 return pilot.profile();
             }
-            case ff_plan::policy_kind::one_plus_beta: {
+            case steady_shape::one_plus_beta: {
                 one_plus_beta_level_process pilot(n_p, sc.beta, pilot_seed);
                 pilot.run_balls(pilot_balls);
                 return pilot.profile();
             }
-            case ff_plan::policy_kind::kd:
-            case ff_plan::policy_kind::single:
+            case steady_shape::kd:
+            case steady_shape::single:
                 break;
             }
             // single never pilots (closed form); kd is the default here.
@@ -125,7 +123,7 @@ std::vector<double> pilot_targets(const scenario& sc, const ff_plan& plan,
             0.5, static_cast<double>(acc[top]) /
                      static_cast<double>(acc[top - 1]));
         const double sharpen =
-            plan.policy == ff_plan::policy_kind::one_plus_beta
+            plan.fast_forward == steady_shape::one_plus_beta
                 ? 1.0
                 : static_cast<double>(std::max<std::uint64_t>(
                       2, sc.d / std::max<std::uint64_t>(1, sc.k)));
@@ -162,31 +160,9 @@ ff_split fast_forward_split(const scenario& sc, std::uint64_t total_balls) {
 }
 
 ff_plan plan_fast_forward(const scenario& sc) {
-    if (resolve_kernel(sc) != kernel_kind::level) {
-        throw cli_error(
-            "warmup=ff jump-starts a level profile; the scenario must "
-            "resolve to kernel=level (kernel=perbin keeps per-bin state "
-            "the fast-forward cannot synthesize)");
-    }
-    const std::string policy = resolved_policy(sc);
-    ff_plan plan;
-    if (policy == "kd") {
-        plan.policy = sc.d == 1 ? ff_plan::policy_kind::single
-                                : ff_plan::policy_kind::kd;
-    } else if (policy == "single") {
-        plan.policy = ff_plan::policy_kind::single;
-    } else if (policy == "dchoice") {
-        plan.policy = ff_plan::policy_kind::dchoice;
-    } else if (policy == "one_plus_beta") {
-        plan.policy = ff_plan::policy_kind::one_plus_beta;
-    } else {
-        throw cli_error(
-            "warmup=ff knows the steady-state shape of the 'kd', 'single', "
-            "'dchoice' and 'one_plus_beta' policies only, got policy '" +
-            policy + "'");
-    }
-    plan.sharded = sc.par == par_mode::round;
-    return plan;
+    scenario ff = sc;
+    ff.warmup = warmup_mode::fast_forward;
+    return resolve_route(ff);
 }
 
 level_profile steady_state_profile(const scenario& sc, const ff_plan& plan,
@@ -195,9 +171,11 @@ level_profile steady_state_profile(const scenario& sc, const ff_plan& plan,
                                    const steady_state_options& options) {
     KD_EXPECTS(sc.n >= 1);
     KD_EXPECTS(ff_balls >= 1);
+    KD_EXPECTS_MSG(plan.fast_forward.has_value(),
+                   "steady_state_profile needs a plan_fast_forward plan");
 
     const std::vector<double> targets =
-        plan.policy == ff_plan::policy_kind::single
+        plan.fast_forward == steady_shape::single
             ? poisson_targets(sc.n,
                               static_cast<double>(ff_balls) /
                                   static_cast<double>(sc.n))
@@ -264,21 +242,19 @@ level_profile steady_state_profile(const scenario& sc,
 
 any_process make_settled_process(const scenario& sc, const ff_plan& plan,
                                  level_profile initial, std::uint64_t seed) {
-    if (plan.sharded) {
-        return any_process(sharded_kd_level_process(std::move(initial), sc.k,
-                                                    sc.d, seed, sc.shards));
-    }
-    switch (plan.policy) {
-    case ff_plan::policy_kind::single:
+    KD_EXPECTS_MSG(plan.fast_forward.has_value(),
+                   "make_settled_process needs a plan_fast_forward plan");
+    switch (*plan.fast_forward) {
+    case steady_shape::single:
         return any_process(
             single_choice_level_process(std::move(initial), seed));
-    case ff_plan::policy_kind::dchoice:
+    case steady_shape::dchoice:
         return any_process(
             d_choice_level_process(std::move(initial), sc.d, seed));
-    case ff_plan::policy_kind::one_plus_beta:
+    case steady_shape::one_plus_beta:
         return any_process(
             one_plus_beta_level_process(std::move(initial), sc.beta, seed));
-    case ff_plan::policy_kind::kd:
+    case steady_shape::kd:
         break;
     }
     return any_process(
@@ -303,18 +279,8 @@ void fast_forwarded_process::run_balls(std::uint64_t balls) {
             : level_profile(sc_.n);
     inner_.emplace(
         make_settled_process(sc_, plan_, std::move(initial), seed_));
-    if (pool_ != nullptr) {
-        inner_->use_pool(pool_);
-    }
     if (split.settle_balls > 0) {
         inner_->run_balls(split.settle_balls);
-    }
-}
-
-void fast_forwarded_process::use_pool(thread_pool* pool) {
-    pool_ = pool;
-    if (inner_) {
-        inner_->use_pool(pool);
     }
 }
 

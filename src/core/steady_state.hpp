@@ -52,21 +52,19 @@ struct ff_split {
 [[nodiscard]] ff_split fast_forward_split(const scenario& sc,
                                           std::uint64_t total_balls);
 
-/// The precomputed dispatch of a fast-forwarded scenario: which closed
-/// form / pilot process the profile synthesis uses and which level kernel
-/// settles. Built once by plan_fast_forward (which consults the policy
-/// registry) so repetition jobs on worker threads never touch the registry.
-struct ff_plan {
-    enum class policy_kind { kd, single, dchoice, one_plus_beta };
-    policy_kind policy = policy_kind::kd;
-    bool sharded = false; ///< par=round: settle on the sharded level kernel
-};
+/// The precomputed dispatch of a fast-forwarded scenario: its route, whose
+/// fast_forward shape names the closed form / pilot process the profile
+/// synthesis uses and the level kernel that settles. Resolved once so
+/// repetition jobs on worker threads never touch the policy registry.
+using ff_plan = route;
 
-/// Resolves the scenario's fast-forward plan, throwing cli_error with a
-/// precise message when warmup=ff is unsupported: the scenario must resolve
-/// to kernel=level with with-replacement probes, and the resolved policy
-/// must be one of 'kd', 'single', 'dchoice' or 'one_plus_beta' (the
-/// policies whose steady-state shape the synthesis knows).
+/// The route of the scenario's warmup=ff twin (resolve_route with
+/// warmup=ff, whatever sc.warmup says — a resumed stage settles like a
+/// fast-forwarded one). Throws resolve_route's cli_error when warmup=ff is
+/// unsupported: the scenario must resolve to kernel=level with
+/// with-replacement probes, and the resolved policy must be one of 'kd',
+/// 'single', 'dchoice' or 'one_plus_beta' (the policies whose steady-state
+/// shape the synthesis knows).
 [[nodiscard]] ff_plan plan_fast_forward(const scenario& sc);
 
 /// Tuning knobs of the profile synthesis; the defaults are what warmup=ff
@@ -110,10 +108,6 @@ public:
 
     void run_balls(std::uint64_t balls);
 
-    /// Stored and handed to the settle kernel at materialization (only the
-    /// par=round sharded kernel uses it; a no-op otherwise).
-    void use_pool(thread_pool* pool);
-
     [[nodiscard]] process_observation observe() const;
     [[nodiscard]] std::vector<double> sorted_loads() const;
 
@@ -129,13 +123,13 @@ private:
     ff_plan plan_;
     std::uint64_t seed_;
     std::uint64_t ff_balls_ = 0;
-    thread_pool* pool_ = nullptr;
     std::optional<any_process> inner_;
 };
 
-/// The settle kernel behind fast_forwarded_process: the scenario's level
-/// process started from `initial`. Exposed so snapshot staging and tests
-/// can settle a synthesized (or reloaded) profile directly.
+/// The settle kernel behind fast_forwarded_process: the level process of
+/// the plan's steady-state shape, started from `initial`. Exposed so
+/// snapshot staging and tests can settle a synthesized (or reloaded)
+/// profile directly. Requires plan.fast_forward (plan_fast_forward sets it).
 [[nodiscard]] any_process make_settled_process(const scenario& sc,
                                                const ff_plan& plan,
                                                level_profile initial,

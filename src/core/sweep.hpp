@@ -28,7 +28,8 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/runner.hpp"
+#include "core/thread_pool.hpp"
 #include "support/row_emitter.hpp"
 
 namespace kdc::core {
@@ -46,8 +47,8 @@ struct sweep_cell {
     metric_kind metric = metric_kind::max_load;
 };
 
-/// Builds a sweep_cell from a process factory (the same factory shape the
-/// serial and parallel runners accept). The factory must be const-callable:
+/// Builds a sweep_cell from a process factory (the same factory shape
+/// run_experiment accepts). The factory must be const-callable:
 /// repetitions of the cell invoke it concurrently. config.balls must be the
 /// resolved ball count (>= 1); use whole_rounds_balls for the k-round
 /// default.
@@ -64,23 +65,6 @@ template <typename Factory>
             return run_one_repetition(derived_seed, balls, factory);
         }};
 }
-
-/// Kernel-parameterized cell factories for the standard processes: one
-/// call site in a bench serves both `--kernel=perbin` and `--kernel=level`
-/// (core/level_process.hpp) instead of duplicating every factory lambda.
-/// config.balls must be the resolved ball count, as for make_sweep_cell.
-[[nodiscard]] sweep_cell
-make_kd_sweep_cell(std::string name, std::uint64_t n, std::uint64_t k,
-                   std::uint64_t d, const experiment_config& config,
-                   kernel_kind kernel = kernel_kind::per_bin);
-[[nodiscard]] sweep_cell
-make_single_choice_sweep_cell(std::string name, std::uint64_t n,
-                              const experiment_config& config,
-                              kernel_kind kernel = kernel_kind::per_bin);
-[[nodiscard]] sweep_cell
-make_d_choice_sweep_cell(std::string name, std::uint64_t n, std::uint64_t d,
-                         const experiment_config& config,
-                         kernel_kind kernel = kernel_kind::per_bin);
 
 /// One cell's folded outcome. Under fixed_reps, `result` is bit-identical
 /// to run_experiment(config, factory) on the same cell; under an adaptive

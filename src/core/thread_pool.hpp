@@ -1,10 +1,9 @@
 // Work-stealing thread pool plus the process-wide persistent pool every
 // execution-engine entry point shares.
 //
-// The pool used to live inside core/parallel_runner.hpp and was re-spawned
-// by every bench invocation; it is now its own layer so that run_sweep,
-// run_grid and run_parallel_experiment can all reuse ONE set of workers for
-// the lifetime of the process (see persistent_pool below). Scheduling order
+// The pool is its own layer so that run_sweep and run_grid (and the
+// sharded kernel's phases) reuse ONE set of workers for the lifetime of the
+// process (see persistent_pool below). Scheduling order
 // never influences results: callers fold per-job outputs in a fixed order of
 // their own.
 #pragma once

@@ -16,7 +16,6 @@
 #pragma once
 
 #include "core/kdchoice.hpp"      // processes, kernels, engine, sweeps
-#include "core/parallel_runner.hpp" // parallel one-cell experiments
 #include "core/scenario.hpp"      // the declarative scenario API
 #include "serve/service.hpp"      // the allocation service + serial oracle
 #include "stats/histogram.hpp"    // aggregation used by experiment results

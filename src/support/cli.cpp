@@ -210,4 +210,13 @@ std::string arg_parser::usage(const std::string& program) const {
     return out.str();
 }
 
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+    try {
+        return body(argc, argv);
+    } catch (const std::exception& error) {
+        std::cerr << "error: " << error.what() << '\n';
+        return 1;
+    }
+}
+
 } // namespace kdc

@@ -122,4 +122,15 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// Runs a binary's main body: an exception escaping `body` — a cli_error
+/// from a malformed flag or scenario, or any other std::exception — is
+/// printed as "error: <what()>" on stderr and the binary exits with status
+/// 1 instead of aborting through std::terminate.
+///
+///     int main(int argc, char** argv) {
+///         return kdc::run_main(argc, argv, main_body);
+///     }
+[[nodiscard]] int run_main(int argc, char** argv,
+                           int (*body)(int argc, char** argv));
+
 } // namespace kdc

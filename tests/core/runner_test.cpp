@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
 #include "support/cli.hpp"
 #include "support/contracts.hpp"
 #include "theory/bounds.hpp"
@@ -132,8 +133,8 @@ TEST(Runner, KernelFromCliParsesBothKernelsAndRejectsGarbage) {
         EXPECT_TRUE(args.parse(2, argv));
         return kdc::core::kernel_from_cli(args);
     };
-    EXPECT_EQ(parse_kernel("perbin"), kdc::core::kernel_kind::per_bin);
-    EXPECT_EQ(parse_kernel("level"), kdc::core::kernel_kind::level);
+    EXPECT_EQ(parse_kernel("perbin"), kdc::core::kernel_choice::per_bin);
+    EXPECT_EQ(parse_kernel("level"), kdc::core::kernel_choice::level);
     EXPECT_THROW((void)parse_kernel("lvl"), kdc::cli_error);
 
     // Default (option absent) is the per-bin reference kernel.
@@ -142,7 +143,7 @@ TEST(Runner, KernelFromCliParsesBothKernelsAndRejectsGarbage) {
     const char* argv[] = {"prog"};
     EXPECT_TRUE(args.parse(1, argv));
     EXPECT_EQ(kdc::core::kernel_from_cli(args),
-              kdc::core::kernel_kind::per_bin);
+              kdc::core::kernel_choice::per_bin);
     EXPECT_STREQ(kdc::core::kernel_name(kdc::core::kernel_kind::level),
                  "level");
     EXPECT_STREQ(kdc::core::kernel_name(kdc::core::kernel_kind::per_bin),

@@ -1,5 +1,5 @@
 // The scenario grammar and registry: parsing, precise errors, kernel/auto
-// resolution, string round-trips and the CLI merge. The behavioural
+// resolution (resolve_route), string round-trips and the CLI merge. The behavioural
 // (distribution/byte-equality) side lives in scenario_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@ using kdc::core::parse_scenario;
 using kdc::core::policy_registry;
 using kdc::core::probe_mode;
 using kdc::core::probe_policy;
-using kdc::core::resolve_kernel;
 using kdc::core::resolved_balls;
 using kdc::core::scenario;
 
@@ -140,28 +139,23 @@ TEST(ScenarioParse, LevelKernelRejectionNamesTheCapableSet) {
 }
 
 TEST(ScenarioParse, AutoKernelPicksLevelWhereSupported) {
-    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4")),
+    const auto kernel_of = [](const char* text) {
+        return kdc::core::resolve_route(parse_scenario(text)).kernel;
+    };
+    EXPECT_EQ(kernel_of("kd:n=512,k=2,d=4"), kernel_kind::level);
+    EXPECT_EQ(kernel_of("single:n=512"), kernel_kind::level);
+    EXPECT_EQ(kernel_of("kd:n=512,k=2,d=4,probe=one_plus_beta"),
               kernel_kind::level);
-    EXPECT_EQ(resolve_kernel(parse_scenario("single:n=512")),
-              kernel_kind::level);
-    EXPECT_EQ(resolve_kernel(parse_scenario(
-                  "kd:n=512,k=2,d=4,probe=one_plus_beta")),
-              kernel_kind::level);
-    EXPECT_EQ(resolve_kernel(parse_scenario(
-                  "kd:n=512,k=2,d=4,probe=weighted,skew=0.5")),
+    EXPECT_EQ(kernel_of("kd:n=512,k=2,d=4,probe=weighted,skew=0.5"),
               kernel_kind::level);
     // Policies without a level kernel degrade to perbin under auto.
-    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,probe=threshold")),
-              kernel_kind::per_bin);
-    EXPECT_EQ(resolve_kernel(parse_scenario("greedy:n=512,k=2,d=4")),
-              kernel_kind::per_bin);
+    EXPECT_EQ(kernel_of("kd:n=512,probe=threshold"), kernel_kind::per_bin);
+    EXPECT_EQ(kernel_of("greedy:n=512,k=2,d=4"), kernel_kind::per_bin);
     // ... and so does the without-replacement ablation.
-    EXPECT_EQ(resolve_kernel(parse_scenario(
-                  "kd:n=512,k=2,d=4,replacement=without")),
+    EXPECT_EQ(kernel_of("kd:n=512,k=2,d=4,replacement=without"),
               kernel_kind::per_bin);
     // Explicit kernels are honored as-is.
-    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4,"
-                                            "kernel=perbin")),
+    EXPECT_EQ(kernel_of("kd:n=512,k=2,d=4,kernel=perbin"),
               kernel_kind::per_bin);
 }
 
@@ -189,9 +183,16 @@ TEST(ScenarioParse, ExplicitBallsMustBeWholeRounds) {
         (void)parse_scenario("weighted:n=100,k=3,d=6,skew=0.5,balls=100"),
         cli_error);
     EXPECT_NO_THROW((void)parse_scenario("kd:n=100,k=3,d=6,balls=99"));
-    // Per-ball policies take any count.
+    // Per-ball policies take any count, and ignore k — even k = 0 (the
+    // whole-rounds check must not divide by it).
     EXPECT_NO_THROW((void)parse_scenario("single:n=100,balls=7"));
     EXPECT_NO_THROW((void)parse_scenario("kd:n=100,k=1,d=1,balls=7"));
+    for (const char* text :
+         {"dchoice:n=100,d=2,k=0,balls=10", "single:n=100,k=0,balls=10",
+          "one_plus_beta:n=100,k=0,balls=10",
+          "threshold:n=100,k=0,balls=10"}) {
+        EXPECT_NO_THROW((void)parse_scenario(text)) << text;
+    }
 }
 
 TEST(ScenarioParse, ToStringRoundTripsFullDoublePrecision) {

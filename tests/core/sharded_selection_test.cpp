@@ -7,11 +7,14 @@
 #include "core/sharded_kernel.hpp"
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/level_process.hpp"
 #include "core/process.hpp"
+#include "core/scenario.hpp"
 #include "core/thread_pool.hpp"
 
 namespace kdc::core {
@@ -102,6 +105,8 @@ TEST(ShardedSelection, SegmentAndThreadGridNeverChangesPerBinOutput) {
 }
 
 TEST(ShardedSelection, SegmentGridNeverChangesLevelKernelOutput) {
+    // On the level kernel par=round runs the serial level kernel, so the
+    // selpar= (and shards=) requests cannot change a byte of its output.
     constexpr std::uint64_t n = 2000;
     constexpr std::uint64_t k = 2;
     constexpr std::uint64_t d = 6;
@@ -110,12 +115,17 @@ TEST(ShardedSelection, SegmentGridNeverChangesLevelKernelOutput) {
 
     kd_choice_level_process reference(n, k, d, seed);
     reference.run_balls(balls);
-    for (const std::uint64_t selpar : {1ull, 7ull, 64ull}) {
-        sharded_kd_level_process process(n, k, d, seed, /*shards=*/4, selpar);
+    const auto sorted = reference.profile().to_sorted_loads();
+    const std::vector<double> expected(sorted.begin(), sorted.end());
+    for (const char* selpar : {"1", "7", "64"}) {
+        auto process = make_process(
+            parse_scenario(std::string("kd:n=2000,k=2,d=6,kernel=level,"
+                                       "par=round,shards=4,selpar=") +
+                           selpar),
+            seed);
         process.run_balls(balls);
-        EXPECT_EQ(process.profile(), reference.profile())
-            << "selpar=" << selpar;
-        EXPECT_EQ(process.selection_segments(), selpar);
+        EXPECT_EQ(process.sorted_loads(), expected) << "selpar=" << selpar;
+        EXPECT_EQ(process.observe().messages, reference.messages());
     }
 }
 

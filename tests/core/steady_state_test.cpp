@@ -24,11 +24,13 @@ using kdc::core::ff_split;
 using kdc::core::kd_choice_level_process;
 using kdc::core::level_profile;
 using kdc::core::make_process;
+using kdc::core::make_settled_process;
 using kdc::core::parse_scenario;
 using kdc::core::plan_fast_forward;
 using kdc::core::resolved_balls;
 using kdc::core::scenario;
 using kdc::core::steady_state_options;
+using kdc::core::steady_shape;
 using kdc::core::steady_state_profile;
 using kdc::core::validate_fast_forward;
 using kdc::core::warmup_mode;
@@ -95,23 +97,18 @@ TEST(FastForwardSplit, HeavySplitInvariants) {
 }
 
 TEST(FastForwardPlan, ResolvesPoliciesAndRejectsUnsupported) {
-    EXPECT_EQ(plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4")).policy,
-              ff_plan::policy_kind::kd);
-    EXPECT_EQ(plan_fast_forward(parse_scenario("kd:n=1024,k=1,d=1")).policy,
-              ff_plan::policy_kind::single);
-    EXPECT_EQ(plan_fast_forward(parse_scenario("single:n=1024")).policy,
-              ff_plan::policy_kind::single);
-    EXPECT_EQ(plan_fast_forward(parse_scenario("dchoice:n=1024,d=2")).policy,
-              ff_plan::policy_kind::dchoice);
-    EXPECT_EQ(plan_fast_forward(
-                  parse_scenario("one_plus_beta:n=1024,beta=0.5"))
-                  .policy,
-              ff_plan::policy_kind::one_plus_beta);
-    EXPECT_TRUE(
-        plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4,par=round"))
-            .sharded);
-    EXPECT_FALSE(
-        plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4")).sharded);
+    const auto shape = [](const char* text) {
+        return plan_fast_forward(parse_scenario(text)).fast_forward;
+    };
+    EXPECT_EQ(shape("kd:n=1024,k=2,d=4"), steady_shape::kd);
+    EXPECT_EQ(shape("kd:n=1024,k=1,d=1"), steady_shape::single);
+    EXPECT_EQ(shape("single:n=1024"), steady_shape::single);
+    EXPECT_EQ(shape("dchoice:n=1024,d=2"), steady_shape::dchoice);
+    EXPECT_EQ(shape("one_plus_beta:n=1024,beta=0.5"),
+              steady_shape::one_plus_beta);
+    // par=round settles on the serial level kernel like par=rep.
+    EXPECT_EQ(plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4,par=round")),
+              plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4")));
 
     // The per-bin kernel keeps state the fast-forward cannot synthesize.
     const auto kernel_message =
@@ -225,6 +222,29 @@ TEST(FastForwardValidation, IndistinguishableFromFullWarmupAtReachableN) {
     EXPECT_GT(result.max_load_ks.p_value, 0.001);
     EXPECT_GT(result.gap_ks.p_value, 0.001);
     EXPECT_GT(result.loads_ks.p_value, 0.001);
+}
+
+TEST(SettledProcess, ParRoundSnapshotResumesExactlyLikeTheLevelKernel) {
+    // A par=round stage settled from a snapshot runs the serial level
+    // kernel: same snapshot and seed, byte-identical profile and counters.
+    kd_choice_level_process warm(2000, 2, 5, 3);
+    warm.run_balls(4000);
+    const level_profile snapshot = warm.profile();
+
+    kd_choice_level_process reference(snapshot, 2, 5, 21);
+    reference.run_balls(2000);
+    const auto sorted = reference.profile().to_sorted_loads();
+    const std::vector<double> expected(sorted.begin(), sorted.end());
+    for (const char* text : {"kd:n=2000,k=2,d=5,kernel=level,par=round",
+                             "kd:n=2000,k=2,d=5,par=round,shards=5"}) {
+        const auto sc = parse_scenario(text);
+        auto settled =
+            make_settled_process(sc, plan_fast_forward(sc), snapshot, 21);
+        settled.run_balls(2000);
+        EXPECT_EQ(settled.sorted_loads(), expected) << text;
+        EXPECT_EQ(settled.observe().balls_placed, reference.balls_placed());
+        EXPECT_EQ(settled.observe().messages, reference.messages());
+    }
 }
 
 TEST(FastForwardSnapshot, ResumedRunMatchesUninterruptedKS) {

@@ -6,10 +6,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/process.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
+#include "core/thread_pool.hpp"
 #include "support/contracts.hpp"
 
 namespace {
@@ -129,6 +132,114 @@ TEST(Sweep, MatchesSerialRunExperimentPerCell) {
         {make_sweep_cell("cell", config, factory)}, with_threads(4));
     ASSERT_EQ(outcomes.size(), 1u);
     expect_identical(serial, outcomes[0].result);
+}
+
+// The one-cell parallel experiment is a one-cell sweep on the process-wide
+// persistent pool. These keep the guarantees of the former parallel runner
+// entry points: bit-identical to the serial convenience runners at any
+// thread count, including 0 (all hardware threads) and more threads than
+// reps.
+
+template <typename Factory>
+experiment_result one_cell_on_pool(const experiment_config& config,
+                                   Factory factory, unsigned threads) {
+    return run_sweep(kdc::core::persistent_pool(threads),
+                     {make_sweep_cell("cell", config, std::move(factory))})
+        .at(0)
+        .result;
+}
+
+const auto kd_2_4 = [](std::uint64_t n) {
+    return [n](std::uint64_t s) {
+        return kdc::core::kd_choice_process(n, 2, 4, s);
+    };
+};
+
+TEST(ParallelRunner, MatchesSerialAtOneTwoAndEightThreads) {
+    const experiment_config config{.balls = 512, .reps = 12, .seed = 42};
+    const auto serial = kdc::core::run_kd_experiment(512, 2, 4, config);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        expect_identical(serial,
+                         one_cell_on_pool(config, kd_2_4(512), threads));
+    }
+}
+
+TEST(ParallelRunner, MatchesSerialForSingleAndDChoice) {
+    const experiment_config config{.balls = 256, .reps = 9, .seed = 7};
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        expect_identical(
+            kdc::core::run_single_choice_experiment(256, config),
+            one_cell_on_pool(
+                config,
+                [](std::uint64_t s) {
+                    return kdc::core::single_choice_process(256, s);
+                },
+                threads));
+        expect_identical(
+            kdc::core::run_d_choice_experiment(256, 3, config),
+            one_cell_on_pool(
+                config,
+                [](std::uint64_t s) {
+                    return kdc::core::d_choice_process(256, 3, s);
+                },
+                threads));
+    }
+}
+
+TEST(ParallelRunner, MatchesSerialWithCustomFactory) {
+    const experiment_config config{.balls = 300, .reps = 10, .seed = 3};
+    const auto factory = [](std::uint64_t seed) {
+        return kdc::core::kd_choice_process(300, 3, 7, seed);
+    };
+    const auto serial = run_experiment(config, factory);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        expect_identical(serial, one_cell_on_pool(config, factory, threads));
+    }
+}
+
+TEST(ParallelRunner, ZeroThreadsMeansHardwareConcurrency) {
+    const experiment_config config{.balls = 128, .reps = 4, .seed = 11};
+    expect_identical(kdc::core::run_kd_experiment(128, 2, 4, config),
+                     one_cell_on_pool(config, kd_2_4(128), 0));
+}
+
+TEST(ParallelRunner, MoreThreadsThanRepsIsFine) {
+    const experiment_config config{.balls = 64, .reps = 2, .seed = 5};
+    expect_identical(kdc::core::run_kd_experiment(64, 2, 4, config),
+                     one_cell_on_pool(config, kd_2_4(64), 16));
+}
+
+TEST(ParallelRunner, DefaultBallsRoundsDownToWholeRounds) {
+    // n = 100, k = 3: a scenario cell's balls = 0 default and the serial
+    // runner's must agree on 99 balls (33 whole rounds).
+    const experiment_config config{.balls = 0, .reps = 3, .seed = 2};
+    const auto cell = kdc::core::make_scenario_cell(
+        "cell", kdc::core::parse_scenario("kd:n=100,k=3,d=7,kernel=perbin"),
+        config);
+    EXPECT_EQ(cell.config.balls, 99u);
+    const auto outcomes = run_sweep(kdc::core::persistent_pool(4), {cell});
+    expect_identical(kdc::core::run_kd_experiment(100, 3, 7, config),
+                     outcomes.at(0).result);
+}
+
+TEST(ParallelRunner, PropagatesFactoryExceptions) {
+    const experiment_config config{.balls = 30, .reps = 8, .seed = 1};
+    EXPECT_THROW((void)one_cell_on_pool(
+                     config,
+                     [](std::uint64_t seed) {
+                         if (seed != 0) { // every derived seed in practice
+                             throw std::runtime_error("factory failed");
+                         }
+                         return kdc::core::single_choice_process(16, seed);
+                     },
+                     4),
+                 std::runtime_error);
+}
+
+TEST(ParallelRunner, RejectsZeroReps) {
+    const experiment_config config{.balls = 16, .reps = 0, .seed = 1};
+    EXPECT_THROW((void)one_cell_on_pool(config, kd_2_4(16), 2),
+                 kdc::contract_violation);
 }
 
 TEST(Sweep, SharedPoolAcrossSuccessiveSweeps) {
